@@ -13,11 +13,12 @@ import csv
 import io
 import json
 import sys
+from itertools import chain, cycle, repeat
 
 import numpy as np
 
 from .config_calculus import CouplingMode, count_configurations, partition_distinct
-from .criterion import OverallVerdict, causal_W, classify
+from .criterion import CriterionReport, OverallVerdict, ScoreVerdict, causal_W, classify
 from .density import (
     DensityMatrix,
     MatrixFormatError,
@@ -49,8 +50,17 @@ GREEDY_REPORT_CAP = 1024
 # output formatting
 # ---------------------------------------------------------------------------
 
-def _json_payload(payload: dict) -> str:
-    return json.dumps(payload, separators=(",", ":")) + "\n"
+def _json_payload(payload: dict, report: CriterionReport | None = None) -> str:
+    """One JSON line; a ``report``'s to_dict() keys follow the payload's."""
+    values = () if report is None else (report.P_ignorance, report.P_transition, report.W)
+    if not all(np.isfinite(v).all() for v in values):
+        # json.dumps spells non-finite floats its own way (NaN, Infinity)
+        payload, report = {**payload, **report.to_dict()}, None
+    if report is None:
+        return json.dumps(payload, separators=(",", ":")) + "\n"
+    head = {**payload, "mode": report.mode.value, "overall": report.overall.value}
+    scores = ",".join(_score_lines(report, ",", _JSON_SCORE_FIELDS))
+    return f'{json.dumps(head, separators=(",", ":"))[:-1]},"scores":[{scores}]}}\n'
 
 
 def _cell(x) -> str:
@@ -63,13 +73,45 @@ def _cell(x) -> str:
     return str(x)
 
 
-def _csv_payload(header: list[str], rows: list[list]) -> str:
+def _csv_payload(
+    header: list[str], rows: list[list], report: CriterionReport | None = None
+) -> str:
+    """CSV text: the header, the rows, then one line per score of ``report``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow([_cell(x) for x in row])
+    if report is not None:
+        buf.writelines(_score_lines(report, ";", _CSV_SCORE_FIELDS))
     return buf.getvalue()
+
+
+# Text around the six cells of a score (config, subset, P_ignorance,
+# P_transition, W, verdict): before each cell, then after the last.
+_JSON_SCORE_FIELDS = (
+    '{"config":[', '],"subset":[', '],"P_ignorance":', ',"P_transition":', ',"W":',
+    ',"verdict":"', '"}',
+)
+_CSV_SCORE_FIELDS = ("", ",", ",", ",", ",", ",", "\n")
+
+
+def _score_lines(report: CriterionReport, sep: str, fields: tuple[str, ...]):
+    """One string per score, in report order: the six cells between
+    ``fields``, labels joined by ``sep``, floats as repr writes them.  Whole
+    columns are converted at once and zipped; no Python code runs per score."""
+    per_config = lambda cells: chain.from_iterable(map(repeat, cells, repeat(len(report.subsets))))
+    configs = (fields[0] + sep.join(map(str, c)) + fields[1] for c in report.configs.tolist())
+    verdicts = [fields[5] + v.value + fields[6] for v in ScoreVerdict]  # by the entangled flag
+    return map("".join, zip(
+        per_config(configs),
+        cycle([sep.join(map(str, s.members)) + fields[2] for s in report.subsets]),
+        per_config(repr(x) + fields[3] for x in report.P_ignorance.tolist()),
+        map(repr, report.P_transition.ravel().tolist()),
+        repeat(fields[4]),
+        map(repr, report.W.ravel().tolist()),
+        map(verdicts.__getitem__, report.entangled.ravel().tolist()),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +402,8 @@ def cmd_ec_sweep(args) -> str:
         else:
             w_closed = _b_closed_W_binding(params, args.m_abs)
             verdict = classify_ec(params, args.m_abs)
-        rho = build_ec_matrix(params)
-        w_matrix = causal_W(rho, j0, subset, params.coupling).W
+        # unbound, so one grid point's matrix is freed before the next is built
+        w_matrix = causal_W(build_ec_matrix(params), j0, subset, params.coupling).W
         rows.append(
             [name, args.D, args.N, p, w_closed, w_matrix, th.p_th1, th.p_th2, verdict.value]
         )
@@ -384,23 +426,10 @@ def cmd_classify(args) -> str:
     rho = load_matrix(args.input)
     report = classify(rho, CouplingMode(args.coupling))
     if args.format == "csv":
-        rows = [
-            [
-                ";".join(str(x) for x in s.config),
-                ";".join(str(x) for x in s.subset.members),
-                s.P_ignorance,
-                s.P_transition,
-                s.W,
-                s.verdict.value,
-            ]
-            for s in report.scores
-        ]
-        return _csv_payload(
-            ["config", "subset", "P_ignorance", "P_transition", "W", "verdict"], rows
-        )
+        header = ["config", "subset", "P_ignorance", "P_transition", "W", "verdict"]
+        return _csv_payload(header, [], report)
     payload = {"schema": SCHEMA, "command": "classify", "D": rho.D, "N": rho.N}
-    payload.update(report.to_dict())
-    return _json_payload(payload)
+    return _json_payload(payload, report)
 
 
 def cmd_ppt(args) -> str:

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
+import numpy as np
+
 Configuration = tuple[int, ...]
 
 # Hard budget on D^N for anything that materializes the configuration list.
@@ -78,18 +80,25 @@ def orthogonal_partners(
     for label in c:
         if not 0 <= label < D:
             raise ValueError(f"label {label} out of range for D={D}")
+    return [tuple(p) for p in partner_labels(np.array([c]), D, mode)[:, 0].tolist()]
+
+
+def partner_labels(configs: np.ndarray, D: int, mode: CouplingMode) -> np.ndarray:
+    """Partner families of the configurations ``configs`` (J, N, valid
+    labels) as one (P, J, N) label array, each family sorted.
+
+    Free: the o-th choice at a site is o, skipping the site's own label, so
+    choices taken in product order stay sorted.  Coupled: the shifts are
+    ordered by the first label they produce.
+    """
+    configs = np.asarray(configs, dtype=np.int64)
     if mode is CouplingMode.N_COUPLED:
-        partners = [
-            tuple((x + d) % D for x in c) for d in range(1, D)
-        ]
-    else:
-        partners = [
-            tuple(choice)
-            for choice in itertools.product(
-                *[[x for x in range(D) if x != label] for label in c]
-            )
-        ]
-    return sorted(partners)
+        first = np.arange(D - 1)[:, None]
+        first = first + (first >= configs[:, 0])
+        return (configs + (first - configs[:, 0])[..., None]) % D
+    choices = itertools.product(range(D - 1), repeat=configs.shape[1])
+    choices = np.array(list(choices), dtype=np.int64).reshape(-1, 1, configs.shape[1])
+    return choices + (choices >= configs)
 
 
 # ---------------------------------------------------------------------------
@@ -137,18 +146,16 @@ def partition_distinct(
 
     Walk the configurations in lexicographic order; a configuration joins
     the distinct list unless it is completely orthogonal to one already
-    there.  For D=2 the greedy size equals the census K; for D>2 it can
-    exceed it (overlapping partner sets), which callers are expected to
-    report rather than hide.
+    there.  The walk has a closed form: the first D^(N-1) configurations
+    share label 0 at party 0, so all of them join; every later c has
+    c_0 != 0 and is completely orthogonal to the (0, d_1, ..., d_{N-1})
+    with every d_n != c_n, so none does.  For D=2 the greedy size D^(N-1)
+    equals the census K; for D>2 it exceeds it (overlapping partner sets),
+    which callers are expected to report rather than hide.
     """
-    distinct: list[Configuration] = []
-    orthogonal: list[Configuration] = []
-    for c in enumerate_configurations(D, N, cap=cap):
-        if any(is_completely_orthogonal(c, d) for d in distinct):
-            orthogonal.append(c)
-        else:
-            distinct.append(c)
-    return ConfigPartition(distinct, orthogonal)
+    configs = enumerate_configurations(D, N, cap=cap)
+    split = D ** (N - 1)
+    return ConfigPartition(configs[:split], configs[split:])
 
 
 def _check_dims(D: int, N: int) -> None:

@@ -27,25 +27,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+
+import numpy as np
 
 from .config_calculus import (
     Configuration,
     CouplingMode,
-    orthogonal_partners,
     partition_distinct,
+    partner_labels,
 )
 from .density import (
     DensityMatrix,
     PartySubset,
     canonical_subsets,
     config_to_index,
-    partial_transpose,
 )
 
 DEFAULT_W_TOL = 1e-10
+# The gather runs over chunks of configurations whose temporaries (index,
+# entry, modulus and label arithmetic: at most GATHER_CELL_BYTES per
+# partner x (subset or party) cell) stay under GATHER_BYTES.
+GATHER_BYTES = 64 * 2**20
+GATHER_CELL_BYTES = 48
 
 
 class ScoreVerdict(Enum):
+    # in this order, the members are indexed by a score's entangled flag
     M_SEPARABLE = "m_separable"
     M_ENTANGLED = "m_entangled"
 
@@ -83,11 +91,39 @@ class ConfigScore:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CriterionReport:
+    """Scores on the distinct configurations (rows of ``configs``) x ``subsets``.
+
+    P_ignorance holds one value per configuration; P_transition, W and
+    entangled one row per configuration and one column per subset.
+    ``scores`` lists them as ConfigScores, configuration-major, and is built
+    on first use.
+    """
+
     mode: CouplingMode
-    scores: tuple[ConfigScore, ...]
     overall: OverallVerdict
+    configs: np.ndarray
+    subsets: tuple[PartySubset, ...]
+    P_ignorance: np.ndarray
+    P_transition: np.ndarray
+    W: np.ndarray
+    entangled: np.ndarray
+
+    @cached_property
+    def scores(self) -> tuple[ConfigScore, ...]:
+        verdicts = list(ScoreVerdict)
+        return tuple(
+            ConfigScore(tuple(config), subset, p_ign, p_trans, w, verdicts[ent])
+            for config, p_ign, row_trans, row_w, row_ent in zip(
+                self.configs.tolist(),
+                self.P_ignorance.tolist(),
+                self.P_transition.tolist(),
+                self.W.tolist(),
+                self.entangled.tolist(),
+            )
+            for subset, p_trans, w, ent in zip(self.subsets, row_trans, row_w, row_ent)
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -105,22 +141,80 @@ def _swapped(mode: CouplingMode) -> CouplingMode:
     )
 
 
-def _check_config(rho: DensityMatrix, j: Configuration) -> None:
+def _config_labels(rho: DensityMatrix, j: Configuration) -> np.ndarray:
+    """j as a (1, N) label array, checked before numpy could wrap a bad label."""
     if len(j) != rho.N:
         raise ValueError(f"configuration {j!r} has length {len(j)}, expected N={rho.N}")
+    config_to_index(j, rho.D)
+    return np.array([j], dtype=np.int64)
+
+
+def _report(
+    rho: DensityMatrix,
+    configs: np.ndarray,
+    subsets: tuple[PartySubset, ...],
+    mode: CouplingMode,
+    tol: float = DEFAULT_W_TOL,
+) -> CriterionReport:
+    """Scores of the configurations ``configs`` (J, N) on ``subsets``."""
+    for s in subsets:
+        if s.N != rho.N:
+            raise ValueError(
+                f"subset is over N={s.N} parties but the matrix has N={rho.N}"
+            )
+    in_subset = np.zeros((rho.N, len(subsets)))
+    for k, s in enumerate(subsets):
+        in_subset[list(s.members), k] = 1.0
+    partners = max((rho.D - 1) ** rho.N, 1)  # the free family, the larger one
+    step = max(1, GATHER_BYTES // (GATHER_CELL_BYTES * partners * (rho.N + len(subsets))))
+    p_ign = np.empty(len(configs))
+    p_trans = np.empty((len(configs), len(subsets)))
+    for lo in range(0, len(configs), step):
+        chunk = slice(lo, lo + step)
+        p_ign[chunk], p_trans[chunk] = _gather(rho, configs[chunk], in_subset, mode)
+    w = p_ign[:, None] - p_trans
+    entangled = w < -tol
+    overall = (
+        OverallVerdict.ENTANGLED
+        if entangled.any()
+        else OverallVerdict.SEPARABLE_BY_CRITERION
+    )
+    return CriterionReport(mode, overall, configs, subsets, p_ign, p_trans, w, entangled)
+
+
+def _gather(
+    rho: DensityMatrix, j: np.ndarray, in_subset: np.ndarray, mode: CouplingMode
+) -> tuple[np.ndarray, np.ndarray]:
+    """P_ignorance (J,) and P_transition (J, S) of the configurations j (J, N);
+    column k of ``in_subset`` (N, S) marks the parties of subset k.
+
+    No partial transpose is built: <j| rho^{T_S} |l> = rho[row, col], where
+    row is j with its S-labels taken from l and col is l with its S-labels
+    taken from j, i.e. row = j + delta and col = l - delta for
+    delta = sum over n in S of (l_n - j_n) D^(N-1-n).  sum() adds the
+    partners one at a time, in family order, as the per-pair definition does.
+    """
+    D, dim = rho.D, rho.dim
+    weights = D ** np.arange(rho.N - 1, -1, -1)
+    diag = rho.matrix.diagonal().real
+    jj = j @ weights
+    p_ign = diag[jj] * sum(diag[partner_labels(j, D, mode) @ weights], 0.0)
+    l = partner_labels(j, D, _swapped(mode))
+    # the flat index j*dim + l + delta*(dim - 1), built in place in floats:
+    # exact, as every value is an integer below dim**2 < 2**53
+    index = ((l - j) * weights) @ in_subset
+    index *= dim - 1
+    index += (jj * dim + l @ weights)[..., None]
+    entry = rho.matrix.reshape(-1)[index.astype(np.intp)]
+    terms = np.hypot(entry.real, entry.imag)
+    terms *= terms
+    return p_ign, sum(terms, 0.0)
 
 
 def ignorance_probability(
     rho: DensityMatrix, j: Configuration, mode: CouplingMode
 ) -> float:
-    _check_config(rho, j)
-    jj = config_to_index(j, rho.D)
-    diag = rho.matrix[jj, jj].real
-    partner_weight = sum(
-        rho.matrix[config_to_index(l, rho.D), config_to_index(l, rho.D)].real
-        for l in orthogonal_partners(j, rho.D, mode)
-    )
-    return float(diag * partner_weight)
+    return float(_report(rho, _config_labels(rho, j), (), mode).P_ignorance[0])
 
 
 def transition_probability(
@@ -134,17 +228,7 @@ def transition_probability(
     Each term pairs the (j,l) entry of the partial transpose with its
     conjugate (l,j) entry, so the result is real and non-negative.
     """
-    _check_config(rho, j)
-    pt = partial_transpose(rho, subset).matrix
-    return _transition_from_pt(pt, rho.D, j, mode)
-
-
-def _transition_from_pt(pt, D: int, j: Configuration, mode: CouplingMode) -> float:
-    jj = config_to_index(j, D)
-    total = 0.0
-    for l in orthogonal_partners(j, D, _swapped(mode)):
-        total += abs(pt[jj, config_to_index(l, D)]) ** 2
-    return float(total)
+    return float(_report(rho, _config_labels(rho, j), (subset,), mode).P_transition[0, 0])
 
 
 def causal_W(
@@ -154,24 +238,7 @@ def causal_W(
     mode: CouplingMode,
     tol: float = DEFAULT_W_TOL,
 ) -> ConfigScore:
-    _check_config(rho, j)
-    pt = partial_transpose(rho, subset).matrix
-    return _score(rho, pt, j, subset, mode, tol)
-
-
-def _score(rho, pt, j, subset, mode, tol) -> ConfigScore:
-    p_ign = ignorance_probability(rho, j, mode)
-    p_trans = _transition_from_pt(pt, rho.D, j, mode)
-    w = p_ign - p_trans
-    verdict = ScoreVerdict.M_ENTANGLED if w < -tol else ScoreVerdict.M_SEPARABLE
-    return ConfigScore(
-        config=tuple(j),
-        subset=subset,
-        P_ignorance=p_ign,
-        P_transition=p_trans,
-        W=w,
-        verdict=verdict,
-    )
+    return _report(rho, _config_labels(rho, j), (subset,), mode, tol).scores[0]
 
 
 def classify(
@@ -188,14 +255,5 @@ def classify(
     if rho.N < 2:
         raise ValueError(f"classification needs at least 2 parties, got N={rho.N}")
     distinct = partition_distinct(rho.D, rho.N).distinct
-    subsets = canonical_subsets(rho.N)
-    pts = {s: partial_transpose(rho, s).matrix for s in subsets}
-    scores = tuple(
-        _score(rho, pts[s], j, s, mode, tol) for j in distinct for s in subsets
-    )
-    overall = (
-        OverallVerdict.ENTANGLED
-        if any(s.verdict is ScoreVerdict.M_ENTANGLED for s in scores)
-        else OverallVerdict.SEPARABLE_BY_CRITERION
-    )
-    return CriterionReport(mode=mode, scores=scores, overall=overall)
+    configs = np.array(distinct, dtype=np.int64)
+    return _report(rho, configs, tuple(canonical_subsets(rho.N)), mode, tol)

@@ -13,6 +13,7 @@ round-trip decimals so that save/load is bit-exact.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -26,6 +27,8 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENSOLVER_HERMITICITY_TOL = 1e-10
 DEFAULT_DIM_CAP = 4096
+# Byte budget of one row block of the Hermiticity check
+ASYMMETRY_BLOCK_BYTES = 4 * 2**20
 
 
 class MatrixFormatError(RuntimeError):
@@ -69,8 +72,6 @@ def canonical_subsets(N: int) -> list[PartySubset]:
 
     One representative per complement-equivalent pair: 2**(N-1) - 1 subsets.
     """
-    import itertools
-
     out: list[PartySubset] = []
     for size in range(1, N):
         for rest in itertools.combinations(range(1, N), size - 1):
@@ -110,7 +111,23 @@ class DensityMatrix:
                 f"matrix shape {arr.shape} does not match D^N = {dim} for "
                 f"D={self.D}, N={self.N}"
             )
-        asym = float(np.max(np.abs(arr - arr.conj().T))) if dim else 0.0
+        self._seal(arr, hermitian=False)
+
+    @classmethod
+    def _adopt(
+        cls, D: int, N: int, matrix: np.ndarray, normalized: bool, *, hermitian: bool = False
+    ) -> "DensityMatrix":
+        """Internal constructor: wrap a fresh complex (D^N, D^N) array that the
+        caller hands over, without copying it.  ``hermitian=True`` skips the
+        Hermiticity check where it holds by construction (a permutation of a
+        Hermitian matrix's entries); the trace is checked as usual."""
+        rho = cls.__new__(cls)
+        vars(rho).update(D=D, N=N, normalized=normalized)  # frozen: bypass __setattr__
+        rho._seal(matrix, hermitian=hermitian)
+        return rho
+
+    def _seal(self, arr: np.ndarray, *, hermitian: bool) -> None:
+        asym = 0.0 if hermitian else _max_asymmetry(arr)
         if asym > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {asym:.3e}")
         if self.normalized:
@@ -128,6 +145,15 @@ class DensityMatrix:
 
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
+
+
+def _max_asymmetry(arr: np.ndarray) -> float:
+    """max |M - M^dag|, taken in row blocks: no dim x dim temporary."""
+    step = max(1, ASYMMETRY_BLOCK_BYTES // (16 * len(arr)))
+    return max(
+        float(np.max(np.abs(arr[lo : lo + step] - arr[:, lo : lo + step].conj().T)))
+        for lo in range(0, len(arr), step)
+    )
 
 
 def config_to_index(c: Configuration, D: int) -> int:
@@ -191,7 +217,7 @@ def transpose_parties(rho: DensityMatrix, parties: Iterable[int]) -> DensityMatr
     for n in chosen:
         axes[n], axes[N + n] = axes[N + n], axes[n]
     out = arr.transpose(axes).reshape(rho.dim, rho.dim)
-    return DensityMatrix(D=D, N=N, matrix=out, normalized=rho.normalized)
+    return DensityMatrix._adopt(D, N, out, rho.normalized, hermitian=True)
 
 
 def partial_transpose(rho: DensityMatrix, subset: PartySubset) -> DensityMatrix:
@@ -208,13 +234,12 @@ def hermitian_eigenvalues(rho: DensityMatrix) -> np.ndarray:
     Input must be Hermitian within 1e-10; the eigenvalue sum matches the
     trace to the same tolerance.
     """
-    arr = rho.matrix
-    asym = float(np.max(np.abs(arr - arr.conj().T))) if rho.dim else 0.0
+    asym = _max_asymmetry(rho.matrix)
     if asym > EIGENSOLVER_HERMITICITY_TOL:
         raise ValueError(
             f"eigensolver requires a Hermitian matrix: max |M - M^dag| = {asym:.3e}"
         )
-    return np.linalg.eigvalsh(arr)
+    return np.linalg.eigvalsh(rho.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -222,14 +247,16 @@ def hermitian_eigenvalues(rho: DensityMatrix) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def matrix_to_payload(rho: DensityMatrix) -> dict:
-    entries = [[float(z.real), float(z.imag)] for z in rho.matrix.ravel()]
+    entries = np.ascontiguousarray(rho.matrix).view(np.float64).reshape(-1, 2).tolist()
     return {"D": rho.D, "N": rho.N, "normalized": rho.normalized, "entries": entries}
 
 
 def save_matrix(rho: DensityMatrix, path: str) -> None:
+    # json.dumps runs the C encoder; json.dump would stream through the
+    # pure-Python one
+    text = json.dumps(matrix_to_payload(rho), separators=(",", ":"), allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_payload(rho), fh, separators=(",", ":"), allow_nan=False)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def load_matrix(
@@ -242,11 +269,8 @@ def load_matrix(
     and its magnitude.  strict=False repairs Hermiticity by (M + M^dag)/2
     and downgrades a wrong normalized flag instead of failing.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError:
-        raise
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -286,23 +310,32 @@ def payload_to_matrix(
         raise MatrixFormatError(
             f"{origin}: entries must be a list of length D^2N = {dim * dim}, got {got}"
         )
-    flat = np.empty(dim * dim, dtype=np.complex128)
-    for k, pair in enumerate(entries):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-        ):
-            raise MatrixFormatError(
-                f"{origin}: entry {k} must be a [re, im] pair of numbers, got {pair!r}"
-            )
-        re, im = float(pair[0]), float(pair[1])
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise MatrixFormatError(f"{origin}: entry {k} is not finite: {pair!r}")
-        flat[k] = complex(re, im)
-    arr = flat.reshape(dim, dim)
+    try:
+        pairs = np.array(entries, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        pairs = np.empty(0)
+    # numpy reads booleans and numeric strings as numbers, so the types are
+    # scanned too; on any doubt the per-entry walk names the first bad entry
+    if not (
+        pairs.shape == (dim * dim, 2)
+        and np.isfinite(pairs).all()
+        and set(map(type, entries)) == {list}
+        and set(map(type, itertools.chain.from_iterable(entries))) <= {int, float}
+    ):
+        for k, pair in enumerate(entries):
+            if (
+                not isinstance(pair, list)
+                or len(pair) != 2
+                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
+            ):
+                raise MatrixFormatError(
+                    f"{origin}: entry {k} must be a [re, im] pair of numbers, got {pair!r}"
+                )
+            if not (math.isfinite(float(pair[0])) and math.isfinite(float(pair[1]))):
+                raise MatrixFormatError(f"{origin}: entry {k} is not finite: {pair!r}")
+    arr = pairs.view(np.complex128).reshape(dim, dim)
 
-    asym = float(np.max(np.abs(arr - arr.conj().T))) if dim else 0.0
+    asym = _max_asymmetry(arr)
     if asym > HERMITICITY_TOL:
         if strict:
             raise MatrixFormatError(
@@ -317,7 +350,7 @@ def payload_to_matrix(
                     f"{origin}: trace invariant violated: |trace - 1| = {abs(tr - 1.0):.3e}"
                 )
             normalized = False
-    return DensityMatrix(D=D, N=N, matrix=arr, normalized=normalized)
+    return DensityMatrix._adopt(D, N, arr, normalized, hermitian=True)
 
 
 # ---------------------------------------------------------------------------

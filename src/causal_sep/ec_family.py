@@ -175,11 +175,10 @@ def build_ec_matrix(params: ECParams, *, dim_cap: int = DEFAULT_DIM_CAP) -> Dens
             amp = f if params.mixing is Mixing.STRONG else f / (D - 1)
             off_sites.append(amp * hub)
 
-    matrix = reduce(np.kron, diag_sites) + reduce(np.kron, off_sites)
+    matrix = reduce(np.kron, diag_sites)
+    matrix += reduce(np.kron, off_sites)
     trace = float(np.trace(matrix).real)
-    return DensityMatrix(
-        D=D, N=N, matrix=matrix, normalized=abs(trace - 1.0) <= 1e-12
-    )
+    return DensityMatrix._adopt(D, N, matrix, abs(trace - 1.0) <= 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
+import csv
+import io
 import json
 import math
 
+import numpy as np
 import pytest
 
-from causal_sep.density import bell_state, save_matrix
+from causal_sep.criterion import classify
+from causal_sep.density import DensityMatrix, bell_state, save_matrix
 from causal_sep.ec_family import (
     ECClass,
     Mixing,
@@ -11,7 +15,7 @@ from causal_sep.ec_family import (
 )
 from causal_sep.config_calculus import CouplingMode
 
-from conftest import run_cli
+from conftest import random_state, run_cli
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +357,57 @@ def test_classify_csv(tmp_path, capsys):
     assert lines[0] == "config,subset,P_ignorance,P_transition,W,verdict"
     assert lines[1].split(",")[0] == "0;0"
     assert lines[1].split(",")[5] == "m_entangled"
+
+
+def _classify_via_to_dict(rho, mode, fmt):
+    """The classify payload rendered from ConfigScore objects by json/csv."""
+    report = classify(rho, CouplingMode(mode))
+    if fmt == "json":
+        payload = {"schema": "causal-sep/1", "command": "classify", "D": rho.D, "N": rho.N}
+        payload.update(report.to_dict())
+        return json.dumps(payload, separators=(",", ":")) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["config", "subset", "P_ignorance", "P_transition", "W", "verdict"])
+    for s in report.scores:
+        writer.writerow([
+            ";".join(map(str, s.config)),
+            ";".join(map(str, s.subset.members)),
+            repr(s.P_ignorance),
+            repr(s.P_transition),
+            repr(s.W),
+            s.verdict.value,
+        ])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("dims", [(2, 5), (3, 3)])
+@pytest.mark.parametrize("mode", ["free", "coupled"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_classify_payload_matches_score_rendering(tmp_path, capsys, dims, mode, fmt):
+    rho = random_state(*dims, np.random.default_rng(sum(dims)))
+    matrix_file = str(tmp_path / "state.json")
+    save_matrix(rho, matrix_file)
+    code, out, _ = run_cli(
+        ["classify", "--input", matrix_file, "--coupling", mode, "--format", fmt], capsys
+    )
+    assert code == 0
+    assert out == _classify_via_to_dict(rho, mode, fmt)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_classify_payload_with_overflowing_scores(tmp_path, capsys, fmt):
+    # unit trace but huge coherences: |rho_jl|^2 overflows to inf, W to -inf
+    m = np.diag([0.25] * 4).astype(complex)
+    m[0, 3] = m[3, 0] = 1e200
+    rho = DensityMatrix(D=2, N=2, matrix=m, normalized=True)
+    matrix_file = str(tmp_path / "huge.json")
+    save_matrix(rho, matrix_file)
+    code, out, _ = run_cli(["classify", "--input", matrix_file, "--format", fmt], capsys)
+    assert code == 0
+    assert out == _classify_via_to_dict(rho, "free", fmt)
+    assert ("-Infinity" if fmt == "json" else "-inf") in out
 
 
 def test_ppt_subset_flag(tmp_path, capsys):

@@ -1,9 +1,13 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import random_hermitian, random_state
 from causal_sep.config_calculus import CouplingMode
 from causal_sep.criterion import (
+    GATHER_BYTES,
     OverallVerdict,
     ScoreVerdict,
     causal_W,
@@ -172,3 +176,38 @@ def test_coupled_mode_swaps_partner_families():
     coupled = causal_W(mm3, (0, 0), s, COUPLED)
     assert free.P_ignorance == pytest.approx(4 / 81)
     assert coupled.P_ignorance == pytest.approx(2 / 81)
+
+
+@pytest.mark.parametrize("label", [-1, 2, 1.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rho, j: causal_W(rho, j, S0, FREE),
+        lambda rho, j: transition_probability(rho, j, S0, FREE),
+        lambda rho, j: ignorance_probability(rho, j, FREE),
+    ],
+    ids=["causal_W", "transition_probability", "ignorance_probability"],
+)
+def test_bad_labels_rejected_before_the_gather(call, label):
+    # numpy would wrap -1 and index past D silently; the label check runs first
+    message = re.escape(f"label {label!r} out of range for D=2")
+    with pytest.raises(ValueError, match=message):
+        call(maximally_mixed(2, 2), (0, label))
+
+
+def test_classify_two_qubit_ten_parties_memory_bound():
+    # one materialized partial transpose per subset needed 511 x 16.8 MB here
+    rng = np.random.default_rng(43)
+    g = rng.normal(size=(1024, 4)) + 1j * rng.normal(size=(1024, 4))
+    m = g @ g.conj().T
+    rho = DensityMatrix(D=2, N=10, matrix=m / np.trace(m).real, normalized=True)
+    for mode in (FREE, COUPLED):
+        tracemalloc.start()
+        try:
+            report = classify(rho, mode)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < GATHER_BYTES
+        assert report.W.shape == (512, 511)
+        assert report.overall is OverallVerdict.ENTANGLED

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from causal_sep.density import (
     matrix_to_payload,
     maximally_mixed,
     partial_transpose,
+    payload_to_matrix,
     save_matrix,
     tensor_product,
     transpose_parties,
@@ -221,6 +223,36 @@ def test_load_rejects_wrong_shapes(tmp_path):
                                 "entries": [[0.5, 0], [0, 0], ["x", 0], [0.5, 0]]}))
     with pytest.raises(MatrixFormatError, match="entry 2"):
         load_matrix(str(path))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([True, 0.0], "entry 1 must be a [re, im] pair"),  # numpy reads True as 1.0
+        (["0.5", 0.0], "entry 1 must be a [re, im] pair"),  # and "0.5" as 0.5
+        ((0.0, 0.0), "entry 1 must be a [re, im] pair"),
+        ([0.0, 0.0, 0.0], "entry 1 must be a [re, im] pair"),
+        ([0.0, float("inf")], "entry 1 is not finite"),
+        ([float("nan"), 0.0], "entry 1 is not finite"),
+    ],
+)
+def test_payload_names_first_bad_entry(bad, message):
+    entries = [[0.5, 0.0], bad, [0.0, 0.0], [0.5, 0.0]]
+    payload = {"D": 2, "N": 1, "normalized": True, "entries": entries}
+    with pytest.raises(MatrixFormatError, match=re.escape(message)):
+        payload_to_matrix(payload)
+
+
+def test_internal_constructor_adopts_the_array():
+    arr = np.array([[0.5, 0.1j], [-0.1j, 0.5]])
+    rho = DensityMatrix._adopt(2, 1, arr, True)
+    assert rho.matrix is arr and not arr.flags.writeable
+    # the public constructor copies
+    assert not np.shares_memory(DensityMatrix(2, 1, rho.matrix).matrix, arr)
+    with pytest.raises(ValueError, match="Hermitian"):
+        DensityMatrix._adopt(2, 1, np.array([[0.5, 0.3], [0.2, 0.5]], complex), True)
+    with pytest.raises(ValueError, match="trace"):
+        DensityMatrix._adopt(2, 1, np.eye(2, dtype=complex), True, hermitian=True)
 
 
 def test_load_strict_flags_hermiticity(tmp_path):

@@ -1,5 +1,6 @@
 """Invariant checks driven by hypothesis: algebraic identities that must
 hold for every matrix and every subset, not just the worked examples."""
+import itertools
 import os
 import tempfile
 
@@ -10,15 +11,20 @@ from hypothesis import given, settings, strategies as st
 from causal_sep.config_calculus import (
     CouplingMode,
     count_configurations,
+    enumerate_configurations,
     is_completely_orthogonal,
     orthogonal_partners,
+    partition_distinct,
 )
-from causal_sep.criterion import causal_W, transition_probability
+from causal_sep.criterion import causal_W, classify, transition_probability
 from causal_sep.density import (
     PartySubset,
     DensityMatrix,
+    canonical_subsets,
+    config_to_index,
     hermitian_eigenvalues,
     load_matrix,
+    partial_transpose,
     save_matrix,
     transpose_parties,
 )
@@ -72,6 +78,7 @@ def test_partner_sets(dims, seed, mode):
     assert all(is_completely_orthogonal(c, q) for q in partners)
     if mode is COUPLED:
         assert set(partners) <= set(orthogonal_partners(c, D, FREE))
+    assert partners == _partners(c, D, mode)
 
 
 @settings(deadline=None)
@@ -199,6 +206,106 @@ def test_decomposition_identity(dims, seed, mode):
         assert score.P_transition == pytest.approx(
             score.P_ignorance + abs(score.W), abs=1e-14
         )
+
+
+# ---------------------------------------------------------------------------
+# the gather kernel against the per-pair partial-transpose route
+# ---------------------------------------------------------------------------
+
+def _swapped(mode):
+    return COUPLED if mode is FREE else FREE
+
+
+def _partners(c, D, mode):
+    """The partner family by its definition, sorted."""
+    if mode is COUPLED:
+        return sorted(tuple((x + d) % D for x in c) for d in range(1, D))
+    return sorted(itertools.product(*[[x for x in range(D) if x != label] for label in c]))
+
+
+def _ignorance(rho, j, mode):
+    jj = config_to_index(j, rho.D)
+    partner_weight = sum(
+        rho.matrix[config_to_index(l, rho.D), config_to_index(l, rho.D)].real
+        for l in _partners(j, rho.D, mode)
+    )
+    return float(rho.matrix[jj, jj].real * partner_weight)
+
+
+def _transition_from_pt(pt, D, j, mode):
+    jj = config_to_index(j, D)
+    total = 0.0
+    for l in _partners(j, D, _swapped(mode)):
+        total += abs(pt[jj, config_to_index(l, D)]) ** 2
+    return float(total)
+
+
+def _score(rho, pt, j, mode):
+    p_ign = _ignorance(rho, j, mode)
+    p_trans = _transition_from_pt(pt, rho.D, j, mode)
+    return p_ign, p_trans, p_ign - p_trans
+
+
+def _greedy_distinct(D, N):
+    """The greedy walk: a configuration is distinct unless it is completely
+    orthogonal to one picked before it."""
+    distinct = []
+    for c in enumerate_configurations(D, N):
+        if not any(is_completely_orthogonal(c, d) for d in distinct):
+            distinct.append(c)
+    return distinct
+
+
+def _oracle_classify(rho, mode):
+    """(config, subset members, P_ignorance, P_transition, W) per score,
+    from one materialized partial transpose per canonical subset."""
+    subsets = canonical_subsets(rho.N)
+    pts = {s: partial_transpose(rho, s).matrix for s in subsets}
+    return [
+        (j, s.members) + _score(rho, pts[s], j, mode)
+        for j in _greedy_distinct(rho.D, rho.N)
+        for s in subsets
+    ]
+
+
+def _normalized_hermitian(D, N, rng):
+    """Unit-trace Hermitian matrix, not positive semidefinite in general."""
+    m = random_hermitian(D, N, rng).matrix.copy()
+    m[np.diag_indices(D**N)] -= (np.trace(m).real - 1.0) / D**N
+    return DensityMatrix(D=D, N=N, matrix=m, normalized=True)
+
+
+ORACLE_DIMS = [(D, N) for D in (2, 3, 4) for N in range(2, 7) if D**N <= 256]
+
+
+@pytest.mark.parametrize("dims", ORACLE_DIMS, ids=lambda d: f"D{d[0]}-N{d[1]}")
+@settings(deadline=None, max_examples=4)
+@given(seed=SEEDS, mode=MODES, psd=st.booleans())
+def test_classify_matches_partial_transpose_oracle(dims, seed, mode, psd):
+    D, N = dims
+    rng = np.random.default_rng(seed)
+    rho = random_state(D, N, rng) if psd else _normalized_hermitian(D, N, rng)
+    got = [
+        (s.config, s.subset.members, s.P_ignorance, s.P_transition, s.W)
+        for s in classify(rho, mode).scores
+    ]
+    want = _oracle_classify(rho, mode)
+    assert [g[:2] for g in got] == [w[:2] for w in want]
+    tol = 1e-15 * max(abs(x) for w in want for x in w[2:4])
+    for g, w in zip(got, want):
+        assert max(abs(a - b) for a, b in zip(g[2:], w[2:])) <= tol, (g, w)
+
+
+@pytest.mark.parametrize("D", [1, 2, 3, 4])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
+def test_partition_matches_greedy_walk(D, N):
+    part = partition_distinct(D, N)
+    distinct = _greedy_distinct(D, N)
+    assert part.distinct == distinct
+    chosen = set(distinct)
+    assert part.orthogonal == [
+        c for c in enumerate_configurations(D, N) if c not in chosen
+    ]
 
 
 # ---------------------------------------------------------------------------
