@@ -39,6 +39,7 @@ from .ec_family import (
     ECClass,
     ECParams,
     ECVerdict,
+    KronSum,
     Mixing,
     ThresholdKind,
     ThresholdResult,
@@ -47,6 +48,7 @@ from .ec_family import (
     closed_form_W,
     crossover_N,
     duality_residuals,
+    ec_operator,
     renormalized_threshold,
     threshold,
 )

@@ -17,7 +17,7 @@ from itertools import chain, cycle, repeat
 
 import numpy as np
 
-from .config_calculus import CouplingMode, count_configurations, partition_distinct
+from .config_calculus import CouplingMode, count_configurations, greedy_distinct_count
 from .criterion import CriterionReport, OverallVerdict, ScoreVerdict, causal_W, classify
 from .density import (
     DensityMatrix,
@@ -37,13 +37,13 @@ from .ec_family import (
     closed_form_W,
     crossover_N,
     duality_residuals,
+    ec_operator,
     threshold,
     variant_name,
 )
 from .ppt import any_npt, ppt_check, ppt_report
 
 SCHEMA = "causal-sep/1"
-GREEDY_REPORT_CAP = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +249,11 @@ def cmd_config_count(args) -> str:
         "K_bar": census.K_bar,
     }
     # For D > 2 the greedy pick can disagree with the ceiling count; report
-    # both rather than hiding it (cheap only while D^N stays small).
-    if args.coupling == "free" and args.D > 2 and args.D**args.N <= GREEDY_REPORT_CAP:
-        part = partition_distinct(args.D, args.N)
-        payload["greedy_distinct"] = len(part.distinct)
-        payload["greedy_matches_K"] = len(part.distinct) == census.K
+    # both rather than hiding it.
+    if args.coupling == "free" and args.D > 2:
+        greedy = greedy_distinct_count(args.D, args.N)
+        payload["greedy_distinct"] = greedy
+        payload["greedy_matches_K"] = greedy == census.K
     return _json_payload(payload)
 
 
@@ -402,8 +402,8 @@ def cmd_ec_sweep(args) -> str:
         else:
             w_closed = _b_closed_W_binding(params, args.m_abs)
             verdict = classify_ec(params, args.m_abs)
-        # unbound, so one grid point's matrix is freed before the next is built
-        w_matrix = causal_W(build_ec_matrix(params), j0, subset, params.coupling).W
+        # read from the site factors: no D^N x D^N matrix is built
+        w_matrix = causal_W(ec_operator(params), j0, subset, params.coupling).W
         rows.append(
             [name, args.D, args.N, p, w_closed, w_matrix, th.p_th1, th.p_th2, verdict.value]
         )
@@ -481,7 +481,8 @@ def cmd_compare(args) -> str:
                 raise ValueError(
                     f"matrix trace vanishes at p={p!r}; shrink the p range"
                 )
-            rho_n = DensityMatrix(rho.D, rho.N, rho.matrix / tr, normalized=True)
+            # dividing by a real scalar keeps the matrix exactly Hermitian
+            rho_n = DensityMatrix._adopt(rho.D, rho.N, rho.matrix / tr, True, hermitian=True)
         causal = classify(rho_n, mode).overall
         npt = any_npt(ppt_report(rho_n))
         ppt_side = "npt_entangled" if npt else "ppt_separable_consistent"

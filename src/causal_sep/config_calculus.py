@@ -154,8 +154,15 @@ def partition_distinct(
     which callers are expected to report rather than hide.
     """
     configs = enumerate_configurations(D, N, cap=cap)
-    split = D ** (N - 1)
+    split = greedy_distinct_count(D, N)
     return ConfigPartition(configs[:split], configs[split:])
+
+
+def greedy_distinct_count(D: int, N: int) -> int:
+    """Size of the greedy distinct list of ``partition_distinct``, D^(N-1),
+    without enumerating any configuration."""
+    _check_dims(D, N)
+    return D ** (N - 1)
 
 
 def _check_dims(D: int, N: int) -> None:

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -43,6 +44,9 @@ from .density import (
     canonical_subsets,
     config_to_index,
 )
+
+if TYPE_CHECKING:
+    from .ec_family import KronSum
 
 DEFAULT_W_TOL = 1e-10
 # The gather runs over chunks of configurations whose temporaries (index,
@@ -141,7 +145,7 @@ def _swapped(mode: CouplingMode) -> CouplingMode:
     )
 
 
-def _config_labels(rho: DensityMatrix, j: Configuration) -> np.ndarray:
+def _config_labels(rho: DensityMatrix | KronSum, j: Configuration) -> np.ndarray:
     """j as a (1, N) label array, checked before numpy could wrap a bad label."""
     if len(j) != rho.N:
         raise ValueError(f"configuration {j!r} has length {len(j)}, expected N={rho.N}")
@@ -150,7 +154,7 @@ def _config_labels(rho: DensityMatrix, j: Configuration) -> np.ndarray:
 
 
 def _report(
-    rho: DensityMatrix,
+    rho: DensityMatrix | KronSum,
     configs: np.ndarray,
     subsets: tuple[PartySubset, ...],
     mode: CouplingMode,
@@ -183,7 +187,7 @@ def _report(
 
 
 def _gather(
-    rho: DensityMatrix, j: np.ndarray, in_subset: np.ndarray, mode: CouplingMode
+    rho: DensityMatrix | KronSum, j: np.ndarray, in_subset: np.ndarray, mode: CouplingMode
 ) -> tuple[np.ndarray, np.ndarray]:
     """P_ignorance (J,) and P_transition (J, S) of the configurations j (J, N);
     column k of ``in_subset`` (N, S) marks the parties of subset k.
@@ -193,19 +197,21 @@ def _gather(
     taken from j, i.e. row = j + delta and col = l - delta for
     delta = sum over n in S of (l_n - j_n) D^(N-1-n).  sum() adds the
     partners one at a time, in family order, as the per-pair definition does.
+    Every entry is read through ``rho.entries`` by flat index, so ``rho`` may
+    be a DensityMatrix or an ``ec_family.KronSum``.
     """
     D, dim = rho.D, rho.dim
     weights = D ** np.arange(rho.N - 1, -1, -1)
-    diag = rho.matrix.diagonal().real
+    diag = lambda index: rho.entries(index * (dim + 1)).real
     jj = j @ weights
-    p_ign = diag[jj] * sum(diag[partner_labels(j, D, mode) @ weights], 0.0)
+    p_ign = diag(jj) * sum(diag(partner_labels(j, D, mode) @ weights), 0.0)
     l = partner_labels(j, D, _swapped(mode))
     # the flat index j*dim + l + delta*(dim - 1), built in place in floats:
     # exact, as every value is an integer below dim**2 < 2**53
     index = ((l - j) * weights) @ in_subset
     index *= dim - 1
     index += (jj * dim + l @ weights)[..., None]
-    entry = rho.matrix.reshape(-1)[index.astype(np.intp)]
+    entry = rho.entries(index.astype(np.intp))
     terms = np.hypot(entry.real, entry.imag)
     terms *= terms
     return p_ign, sum(terms, 0.0)
@@ -232,7 +238,7 @@ def transition_probability(
 
 
 def causal_W(
-    rho: DensityMatrix,
+    rho: DensityMatrix | KronSum,
     j: Configuration,
     subset: PartySubset,
     mode: CouplingMode,

@@ -146,6 +146,10 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
+    def entries(self, flat: np.ndarray) -> np.ndarray:
+        """Entries at the row-major flat indices ``row * dim + col``."""
+        return self.matrix.reshape(-1)[flat]
+
 
 def _max_asymmetry(arr: np.ndarray) -> float:
     """max |M - M^dag|, taken in row blocks: no dim x dim temporary."""

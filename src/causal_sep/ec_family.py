@@ -20,6 +20,10 @@ of two site products:
             f_n = (1-p) if b_sites[n] else p,
             amp_n = f_n/(D-1) (weak) or f_n (strong)
 
+``ec_operator`` holds the 2N site factors as a ``KronSum``, which reads
+any entry as those two products without materializing the D^N x D^N
+matrix; ``build_ec_matrix`` multiplies them out with ``np.kron``.
+
 Class a has unit trace; class b has trace prod_n 2*f_n and is NOT
 renormalized -- the ``normalized`` flag on the result reports the actual
 trace.  Neither class is guaranteed positive semidefinite at large p;
@@ -139,8 +143,37 @@ def all_variants() -> list[tuple[ECClass, Mixing, CouplingMode]]:
 # matrix construction
 # ---------------------------------------------------------------------------
 
-def build_ec_matrix(params: ECParams, *, dim_cap: int = DEFAULT_DIM_CAP) -> DensityMatrix:
-    """Materialize the EC matrix from the site-product recurrence.
+@dataclass(frozen=True, eq=False)
+class KronSum:
+    """The EC matrix Dsite_0 (x) ... (x) Dsite_{N-1} + Osite_0 (x) ... (x)
+    Osite_{N-1}, held as its 2N site factors (two (N, D, D) stacks).
+
+    ``entries`` reads any entry as two products of N site factors, taken in
+    party order with the diagonal product added first, the order in which
+    ``np.kron`` forms them: every entry equals the dense matrix's bit for bit.
+    """
+
+    D: int
+    N: int
+    diag_sites: np.ndarray
+    off_sites: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.D**self.N
+
+    def entries(self, flat: np.ndarray) -> np.ndarray:
+        """Entries at the row-major flat indices ``row * dim + col``."""
+        # a leading axis over the parties holds the site labels of row and col
+        shape = (self.N,) + (1,) * flat.ndim
+        powers = self.D ** np.arange(self.N - 1, -1, -1).reshape(shape)
+        row, col = np.divmod(flat, self.dim)
+        at = (np.arange(self.N).reshape(shape), row // powers % self.D, col // powers % self.D)
+        return reduce(np.multiply, self.diag_sites[at]) + reduce(np.multiply, self.off_sites[at])
+
+
+def ec_operator(params: ECParams, *, dim_cap: int = DEFAULT_DIM_CAP) -> KronSum:
+    """The site factors of the EC matrix in ``params``, from the recurrence.
 
     The coupling mode is carried in ``params`` but does not enter the
     matrix; it only selects the partner counting when the criterion is
@@ -174,11 +207,17 @@ def build_ec_matrix(params: ECParams, *, dim_cap: int = DEFAULT_DIM_CAP) -> Dens
             )
             amp = f if params.mixing is Mixing.STRONG else f / (D - 1)
             off_sites.append(amp * hub)
+    return KronSum(D, N, np.stack(diag_sites), np.stack(off_sites))
 
-    matrix = reduce(np.kron, diag_sites)
-    matrix += reduce(np.kron, off_sites)
+
+def build_ec_matrix(params: ECParams, *, dim_cap: int = DEFAULT_DIM_CAP) -> DensityMatrix:
+    """Materialize the EC matrix of ``ec_operator(params)`` as a dense
+    D^N x D^N DensityMatrix."""
+    op = ec_operator(params, dim_cap=dim_cap)
+    matrix = reduce(np.kron, op.diag_sites)
+    matrix += reduce(np.kron, op.off_sites)
     trace = float(np.trace(matrix).real)
-    return DensityMatrix._adopt(D, N, matrix, abs(trace - 1.0) <= 1e-12)
+    return DensityMatrix._adopt(op.D, op.N, matrix, abs(trace - 1.0) <= 1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from causal_sep.ec_family import (
     build_ec_matrix,
     closed_form_W,
     duality_residuals,
+    ec_operator,
     threshold,
 )
 from causal_sep.ppt import any_npt, ppt_report
@@ -186,6 +187,19 @@ def test_criterion_4_closed_form_matches_matrix_route():
                         for j in distinct:
                             w_j = causal_W(rho, j, s0, FREE).W
                             assert _sign(w_j) == _sign(w_closed), (N, mixing, p, j)
+    # at D^N = 4096 the matrix route reads the site factors, as ec sweep does
+    for D, N in ((2, 12), (4, 6)):
+        s0 = PartySubset((0,), N)
+        j0 = (0,) * N
+        for mixing in (WEAK, STRONG):
+            for i in range(101):
+                p = i / 100
+                params = ECParams(A, mixing, FREE, D, N, p)
+                score = causal_W(ec_operator(params), j0, s0, FREE)
+                assert _sign(score.W) == _sign(closed_form_W(params)), (D, N, mixing, p)
+                assert score.P_ignorance == pytest.approx(
+                    (1 - p) ** N * p**N, abs=1e-10
+                )
     _done(4, "closed-form W vs matrix-level W", t0, 30.0)
 
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,16 @@ def test_config_count_greedy_surfacing(capsys):
     payload = json.loads(out)
     assert payload["K"] == 2
     assert payload["greedy_distinct"] == 3
+    assert payload["greedy_matches_K"] is False
+
+
+def test_config_count_greedy_beyond_1024_configurations(capsys):
+    # the greedy size is the closed form D^(N-1), reported at any D^N
+    code, out, _ = run_cli(["config-count", "--D", "3", "--N", "7"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["K"] == 17
+    assert payload["greedy_distinct"] == 729
     assert payload["greedy_matches_K"] is False
 
 
@@ -277,6 +288,38 @@ def test_sweep_json_rows(capsys):
     assert payload["command"] == "ec-sweep"
     assert [row["p"] for row in payload["rows"]] == [0.0, 1.0]
     assert payload["rows"][1]["W_closed"] == -1.0
+
+
+def test_sweep_over_dimension_cap(capsys):
+    code, out, err = run_cli(
+        [
+            "ec", "sweep", "--class", "a", "--mixing", "weak",
+            "--coupling", "free", "--D", "2", "--N", "13", "--steps", "2",
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: D^N = 8192 exceeds the dimension cap 4096\n"
+
+
+@pytest.mark.parametrize("dims", [(2, 12), (4, 6)])
+@pytest.mark.parametrize("coupling", ["free", "coupled"])
+def test_sweep_at_dimension_cap_memory_bound(capsys, dims, coupling):
+    # a dense 4096-dim EC matrix is 256 MB; the sweep reads the site factors
+    argv = [
+        "ec", "sweep", "--class", "a", "--mixing", "strong", "--coupling", coupling,
+        "--D", str(dims[0]), "--N", str(dims[1]), "--steps", "2", "--p-start", "0.2",
+    ]
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(argv, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(json.loads(out)["rows"]) == 2
+    assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------

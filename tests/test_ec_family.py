@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,10 +17,14 @@ from causal_sep.ec_family import (
     classify_ec,
     closed_form_W,
     crossover_N,
+    all_variants,
     duality_residuals,
+    ec_operator,
     renormalized_threshold,
     threshold,
 )
+
+from conftest import run_cli
 
 FREE = CouplingMode.N_FREE
 COUPLED = CouplingMode.N_COUPLED
@@ -127,6 +132,8 @@ def test_build_coupling_does_not_change_matrix():
 def test_build_dim_cap():
     with pytest.raises(ValueError, match="cap"):
         build_ec_matrix(params(D=2, N=13))
+    with pytest.raises(ValueError, match="D\\^N = 8192 exceeds the dimension cap 4096"):
+        ec_operator(params(D=2, N=13))
 
 
 # ---------------------------------------------------------------------------
@@ -420,3 +427,26 @@ def test_sign_match_matrix_vs_closed_form_on_grid():
 
 def _sign(x, tol=1e-12):
     return 1 if x > tol else (-1 if x < -tol else 0)
+
+
+# ---------------------------------------------------------------------------
+# ec sweep: the site-factor route against the dense matrix
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 3), (2, 5), (4, 3)])
+@pytest.mark.parametrize("variant", all_variants(), ids=lambda v: "-".join(x.value for x in v))
+def test_sweep_W_matrix_equals_dense_route(capsys, dims, variant):
+    D, N = dims
+    ec_class, mixing, coupling = variant
+    argv = [
+        "ec", "sweep", "--class", ec_class.value, "--mixing", mixing.value,
+        "--coupling", coupling.value, "--D", str(D), "--N", str(N), "--steps", "11",
+    ]
+    if ec_class is B:
+        argv += ["--m-abs", "1"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    s0, j0 = PartySubset((0,), N), (0,) * N
+    for row in json.loads(out)["rows"]:
+        prm = ECParams(ec_class, mixing, coupling, D, N, complex(row["p"]))
+        assert row["W_matrix"] == causal_W(build_ec_matrix(prm), j0, s0, coupling).W

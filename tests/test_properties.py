@@ -17,6 +17,7 @@ from causal_sep.config_calculus import (
     partition_distinct,
 )
 from causal_sep.criterion import causal_W, classify, transition_probability
+from causal_sep.ec_family import ECClass, ECParams, all_variants, build_ec_matrix, ec_operator
 from causal_sep.density import (
     PartySubset,
     DensityMatrix,
@@ -306,6 +307,34 @@ def test_partition_matches_greedy_walk(D, N):
     assert part.orthogonal == [
         c for c in enumerate_configurations(D, N) if c not in chosen
     ]
+
+
+# ---------------------------------------------------------------------------
+# the EC site-factor operator against the dense EC matrix
+# ---------------------------------------------------------------------------
+
+EC_DIMS = [(D, N) for D in (2, 3, 4) for N in range(2, 6) if D**N <= 256]
+
+
+@pytest.mark.parametrize("dims", EC_DIMS, ids=lambda d: f"D{d[0]}-N{d[1]}")
+@settings(deadline=None, max_examples=4)
+@given(seed=SEEDS)
+def test_ec_operator_entries_match_dense_matrix(dims, seed):
+    D, N = dims
+    rng = np.random.default_rng(seed)
+    dim = D**N
+    for ec_class, mixing, coupling in all_variants():
+        if ec_class is ECClass.A:
+            p = complex(rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0.0, 2 * np.pi)))
+            b_sites = None
+        else:
+            p = float(rng.uniform(0.0, 1.0))
+            b_sites = tuple(int(b) for b in rng.integers(0, 2, size=N))
+        params = ECParams(ec_class, mixing, coupling, D, N, p, b_sites)
+        want = build_ec_matrix(params).matrix.reshape(-1)
+        got = ec_operator(params).entries(np.arange(dim * dim).reshape(dim, dim))
+        # bit for bit, signed zeros included
+        assert got.reshape(-1).tobytes() == want.tobytes(), (params, seed)
 
 
 # ---------------------------------------------------------------------------
