@@ -257,21 +257,21 @@ def cmd_config_count(args) -> str:
     return _json_payload(payload)
 
 
-def _params_from_args(args, p: complex) -> ECParams:
-    return ECParams(
-        ec_class=ECClass(args.ec_class),
-        mixing=Mixing(args.mixing),
-        coupling=CouplingMode(args.coupling or "free"),
-        D=args.D,
-        N=args.N,
-        p=p,
-    )
+Variant = tuple[ECClass, Mixing, CouplingMode]
+
+
+def _variant(args) -> Variant:
+    return ECClass(args.ec_class), Mixing(args.mixing), CouplingMode(args.coupling or "free")
+
+
+def _params(variant: Variant, args, p: complex) -> ECParams:
+    return ECParams(*variant, D=args.D, N=args.N, p=p)
 
 
 def cmd_ec_build(args) -> str:
     if args.format != "json":
         raise ValueError("ec build emits the matrix JSON format only")
-    params = _params_from_args(args, args.p)
+    params = _params(_variant(args), args, args.p)
     rho = build_ec_matrix(params)
     min_eig = float(hermitian_eigenvalues(rho)[0])
     psd = min_eig >= -1e-10
@@ -284,17 +284,15 @@ def cmd_ec_build(args) -> str:
     return _json_payload(matrix_to_payload(rho))
 
 
-def _threshold_rows(ec_class: ECClass, mixing: Mixing, coupling: CouplingMode,
-                    D: int, N: int, m_abs: int | None) -> list[list]:
-    name = variant_name(ec_class, mixing, coupling)
-    if ec_class is ECClass.A:
-        th = threshold(ec_class, mixing, coupling, D, N)
-        return [[name, D, N, None, th.p_th1, th.p_th2]]
-    m_values = [m_abs] if m_abs is not None else list(range(1, N))
+def _threshold_rows(variant: Variant, D: int, N: int, m_abs: int | None) -> list[list]:
+    if variant[0] is ECClass.A:
+        m_values = [None]
+    else:
+        m_values = [m_abs] if m_abs is not None else list(range(1, N))
     rows = []
     for m in m_values:
-        th = threshold(ec_class, mixing, coupling, D, N, m)
-        rows.append([name, D, N, m, th.p_th1, th.p_th2])
+        th = threshold(*variant, D, N, m)
+        rows.append([variant_name(*variant), D, N, m, th.p_th1, th.p_th2])
     return rows
 
 
@@ -309,54 +307,38 @@ def cmd_ec_threshold(args) -> str:
         if args.format != "csv":
             raise ValueError("the all-variant threshold table is CSV only")
         rows = []
-        for c, mx, cp in all_variants():
-            rows.extend(_threshold_rows(c, mx, cp, args.D, args.N, args.m_abs))
+        for variant in all_variants():
+            rows.extend(_threshold_rows(variant, args.D, args.N, args.m_abs))
         return _csv_payload(header, rows)
 
     if args.mixing is None or args.coupling is None:
         raise ValueError("--mixing and --coupling are required alongside --class")
-    ec_class = ECClass(args.ec_class)
-    mixing = Mixing(args.mixing)
-    coupling = CouplingMode(args.coupling)
+    variant = _variant(args)
     if args.format == "csv":
-        rows = _threshold_rows(ec_class, mixing, coupling, args.D, args.N, args.m_abs)
-        return _csv_payload(header, rows)
+        return _csv_payload(header, _threshold_rows(variant, args.D, args.N, args.m_abs))
 
-    name = variant_name(ec_class, mixing, coupling)
-    if ec_class is ECClass.A:
-        th = threshold(ec_class, mixing, coupling, args.D, args.N)
-        return _json_payload(
-            {
-                "schema": SCHEMA,
-                "command": "ec-threshold",
-                "variant": name,
-                "D": args.D,
-                "N": args.N,
-                "kind": th.kind.value,
-                "p_th": th.p_th,
-                "p_th1": th.p_th1,
-                "p_th2": th.p_th2,
-                "separable_region": th.separable_region,
-            }
-        )
-    if args.m_abs is None:
+    name = variant_name(*variant)
+    if variant[0] is ECClass.B and args.m_abs is None:
         raise ValueError("b-class JSON threshold needs --m-abs (use CSV for all values)")
-    th = threshold(ec_class, mixing, coupling, args.D, args.N, args.m_abs)
-    return _json_payload(
-        {
-            "schema": SCHEMA,
-            "command": "ec-threshold",
-            "variant": name,
-            "D": args.D,
-            "N": args.N,
-            "m_abs": th.m_abs,
-            "kind": th.kind.value,
-            "p_th1": th.p_th1,
-            "p_th2": th.p_th2,
-            "window": list(th.window) if th.window is not None else None,
-            "separable_region": th.separable_region,
-        }
-    )
+    th = threshold(*variant, args.D, args.N, args.m_abs)
+    payload = {
+        "schema": SCHEMA,
+        "command": "ec-threshold",
+        "variant": name,
+        "D": args.D,
+        "N": args.N,
+        "m_abs": th.m_abs,
+        "kind": th.kind.value,
+        "p_th": th.p_th1,
+        "p_th1": th.p_th1,
+        "p_th2": th.p_th2,
+        "window": list(th.window) if th.window is not None else None,
+        "separable_region": th.separable_region,
+    }
+    # a single threshold carries no |m| or window; a window no single p_th
+    for key in ("m_abs", "window") if variant[0] is ECClass.A else ("p_th",):
+        del payload[key]
+    return _json_payload(payload)
 
 
 def _grid(args) -> list[float]:
@@ -381,29 +363,25 @@ def _b_closed_W_binding(params: ECParams, m_abs: int) -> float | None:
 
 
 def cmd_ec_sweep(args) -> str:
-    ec_class = ECClass(args.ec_class)
-    name = variant_name(ec_class, Mixing(args.mixing), CouplingMode(args.coupling or "free"))
-    if ec_class is ECClass.B and args.m_abs is None:
+    variant = _variant(args)
+    name = variant_name(*variant)
+    if variant[0] is ECClass.B and args.m_abs is None:
         raise ValueError("b-class sweeps need --m-abs")
-    if ec_class is ECClass.A:
-        th = threshold(ec_class, Mixing(args.mixing), CouplingMode(args.coupling or "free"),
-                       args.D, args.N)
-    else:
-        th = threshold(ec_class, Mixing(args.mixing), CouplingMode(args.coupling or "free"),
-                       args.D, args.N, args.m_abs)
+    th = threshold(*variant, args.D, args.N, args.m_abs)
     subset = PartySubset((0,), args.N)
     j0 = (0,) * args.N
     rows = []
     for p in _grid(args):
-        params = _params_from_args(args, complex(p))
-        if ec_class is ECClass.A:
+        params = _params(variant, args, complex(p))
+        # the operator checks the dimension cap before any closed form runs,
+        # and W_matrix is read from its site factors: no D^N x D^N matrix
+        op = ec_operator(params)
+        if variant[0] is ECClass.A:
             w_closed = closed_form_W(params)
-            verdict = classify_ec(params)
         else:
             w_closed = _b_closed_W_binding(params, args.m_abs)
-            verdict = classify_ec(params, args.m_abs)
-        # read from the site factors: no D^N x D^N matrix is built
-        w_matrix = causal_W(ec_operator(params), j0, subset, params.coupling).W
+        verdict = classify_ec(params, args.m_abs)
+        w_matrix = causal_W(op, j0, subset, params.coupling).W
         rows.append(
             [name, args.D, args.N, p, w_closed, w_matrix, th.p_th1, th.p_th2, verdict.value]
         )
@@ -463,15 +441,15 @@ def cmd_ppt(args) -> str:
 
 
 def cmd_compare(args) -> str:
-    ec_class = ECClass(args.ec_class)
-    if ec_class is ECClass.B and args.m_abs is None:
+    variant = _variant(args)
+    if variant[0] is ECClass.B and args.m_abs is None:
         raise ValueError("b-class comparisons need --m-abs")
-    name = variant_name(ec_class, Mixing(args.mixing), CouplingMode(args.coupling or "free"))
-    mode = CouplingMode(args.coupling or "free")
+    name = variant_name(*variant)
+    mode = variant[2]
     rows = []
     disagreements = 0
     for p in _grid(args):
-        params = _params_from_args(args, complex(p))
+        params = _params(variant, args, complex(p))
         rho = build_ec_matrix(params)
         if rho.normalized:
             rho_n = rho

@@ -19,6 +19,7 @@ K = D^(N-1) exactly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -29,6 +30,8 @@ Configuration = tuple[int, ...]
 
 # Hard budget on D^N for anything that materializes the configuration list.
 DEFAULT_ENUMERATION_CAP = 2**20
+# Largest D^N of a matrix, dense or as site factors.
+DIM_CAP = 4096
 
 
 class EnumerationBudgetError(ValueError):
@@ -48,7 +51,7 @@ def enumerate_configurations(
     D: int, N: int, *, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[Configuration]:
     """All D^N configurations in lexicographic order (last party fastest)."""
-    _check_dims(D, N)
+    check_dims(D, N)
     total = D**N
     if total > cap:
         raise EnumerationBudgetError(
@@ -76,7 +79,7 @@ def orthogonal_partners(
     mod D for d = 1..D-1.
     """
     N = len(c)
-    _check_dims(D, N)
+    check_dims(D, N)
     for label in c:
         if not 0 <= label < D:
             raise ValueError(f"label {label} out of range for D={D}")
@@ -124,7 +127,7 @@ def count_configurations(D: int, N: int, mode: CouplingMode) -> ConfigCensus:
     ceiling division so arbitrarily large D, N stay exact (Python integers
     do not overflow).  Coupled mode: K = D^(N-1).
     """
-    _check_dims(D, N)
+    check_dims(D, N)
     total = D**N
     if mode is CouplingMode.N_COUPLED:
         K = D ** (N - 1)
@@ -139,9 +142,7 @@ class ConfigPartition(NamedTuple):
     orthogonal: list[Configuration]
 
 
-def partition_distinct(
-    D: int, N: int, *, cap: int = DEFAULT_ENUMERATION_CAP
-) -> ConfigPartition:
+def partition_distinct(D: int, N: int) -> ConfigPartition:
     """Greedy lexicographic split into distinct and orthogonal configurations.
 
     Walk the configurations in lexicographic order; a configuration joins
@@ -153,7 +154,7 @@ def partition_distinct(
     equals the census K; for D>2 it exceeds it (overlapping partner sets),
     which callers are expected to report rather than hide.
     """
-    configs = enumerate_configurations(D, N, cap=cap)
+    configs = enumerate_configurations(D, N)
     split = greedy_distinct_count(D, N)
     return ConfigPartition(configs[:split], configs[split:])
 
@@ -161,12 +162,23 @@ def partition_distinct(
 def greedy_distinct_count(D: int, N: int) -> int:
     """Size of the greedy distinct list of ``partition_distinct``, D^(N-1),
     without enumerating any configuration."""
-    _check_dims(D, N)
+    check_dims(D, N)
     return D ** (N - 1)
 
 
-def _check_dims(D: int, N: int) -> None:
-    if not isinstance(D, int) or isinstance(D, bool) or D < 1:
-        raise ValueError(f"D must be a positive integer, got {D!r}")
-    if not isinstance(N, int) or isinstance(N, bool) or N < 1:
-        raise ValueError(f"N must be a positive integer, got {N!r}")
+def check_dims(
+    D: int | None, N: int | None, *, D_min: int = 1, N_min: int = 1, capped: bool = False
+) -> None:
+    """Reject a D or N (None: not checked) that is not an int, bools
+    included, or is below its minimum; with ``capped``, also a D^N above
+    DIM_CAP.  Far above the cap (N log2 D > 64) D**N is never formed."""
+    for name, value, minimum in (("D", D, D_min), ("N", N, N_min)):
+        if value is not None and (
+            not isinstance(value, int) or isinstance(value, bool) or value < minimum
+        ):
+            raise ValueError(f"expected an integer {name} >= {minimum}, got {name}={value!r}")
+    if capped:
+        far = N * math.log2(D) > 64
+        if far or D**N > DIM_CAP:
+            size = f"{D}^{N}" if far else D**N
+            raise ValueError(f"D^N = {size} exceeds the dimension cap {DIM_CAP}")

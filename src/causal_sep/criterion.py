@@ -14,8 +14,8 @@ compares two probability-like quantities:
                    cut.
 
 Their difference W = P_ignorance - P_transition is invariant under
-S -> complement(S).  W < -tol for any distinct configuration and any
-bipartition certifies entanglement; W >= -tol everywhere is *consistent*
+S -> complement(S).  W < -W_TOL for any distinct configuration and any
+bipartition certifies entanglement; W >= -W_TOL everywhere is *consistent*
 with separability (one-sided, like the partial-transpose test).
 
 The coupling mode selects which partner family plays which role: the free
@@ -48,7 +48,8 @@ from .density import (
 if TYPE_CHECKING:
     from .ec_family import KronSum
 
-DEFAULT_W_TOL = 1e-10
+# W below -W_TOL is entangled
+W_TOL = 1e-10
 # The gather runs over chunks of configurations whose temporaries (index,
 # entry, modulus and label arithmetic: at most GATHER_CELL_BYTES per
 # partner x (subset or party) cell) stay under GATHER_BYTES.
@@ -158,7 +159,6 @@ def _report(
     configs: np.ndarray,
     subsets: tuple[PartySubset, ...],
     mode: CouplingMode,
-    tol: float = DEFAULT_W_TOL,
 ) -> CriterionReport:
     """Scores of the configurations ``configs`` (J, N) on ``subsets``."""
     for s in subsets:
@@ -177,7 +177,7 @@ def _report(
         chunk = slice(lo, lo + step)
         p_ign[chunk], p_trans[chunk] = _gather(rho, configs[chunk], in_subset, mode)
     w = p_ign[:, None] - p_trans
-    entangled = w < -tol
+    entangled = w < -W_TOL
     overall = (
         OverallVerdict.ENTANGLED
         if entangled.any()
@@ -242,14 +242,11 @@ def causal_W(
     j: Configuration,
     subset: PartySubset,
     mode: CouplingMode,
-    tol: float = DEFAULT_W_TOL,
 ) -> ConfigScore:
-    return _report(rho, _config_labels(rho, j), (subset,), mode, tol).scores[0]
+    return _report(rho, _config_labels(rho, j), (subset,), mode).scores[0]
 
 
-def classify(
-    rho: DensityMatrix, mode: CouplingMode, tol: float = DEFAULT_W_TOL
-) -> CriterionReport:
+def classify(rho: DensityMatrix, mode: CouplingMode) -> CriterionReport:
     """Evaluate W at every distinct configuration and every canonical
     bipartition; any entangled score makes the overall verdict ENTANGLED.
 
@@ -262,4 +259,4 @@ def classify(
         raise ValueError(f"classification needs at least 2 parties, got N={rho.N}")
     distinct = partition_distinct(rho.D, rho.N).distinct
     configs = np.array(distinct, dtype=np.int64)
-    return _report(rho, configs, tuple(canonical_subsets(rho.N)), mode, tol)
+    return _report(rho, configs, tuple(canonical_subsets(rho.N)), mode)

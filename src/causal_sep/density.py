@@ -21,12 +21,11 @@ from typing import Iterable
 
 import numpy as np
 
-from .config_calculus import Configuration
+from .config_calculus import Configuration, check_dims
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENSOLVER_HERMITICITY_TOL = 1e-10
-DEFAULT_DIM_CAP = 4096
 # Byte budget of one row block of the Hermiticity check
 ASYMMETRY_BLOCK_BYTES = 4 * 2**20
 
@@ -47,8 +46,7 @@ class PartySubset:
     N: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.N, int) or self.N < 2:
-            raise ValueError(f"party subsets need N >= 2 parties, got N={self.N!r}")
+        check_dims(None, self.N, N_min=2)
         members = tuple(sorted(set(int(i) for i in self.members)))
         if len(members) != len(tuple(self.members)):
             raise ValueError(f"duplicate parties in subset {self.members!r}")
@@ -100,10 +98,7 @@ class DensityMatrix:
     normalized: bool = True
 
     def __post_init__(self) -> None:
-        if not isinstance(self.D, int) or self.D < 1:
-            raise ValueError(f"D must be a positive integer, got {self.D!r}")
-        if not isinstance(self.N, int) or self.N < 0:
-            raise ValueError(f"N must be a non-negative integer, got {self.N!r}")
+        check_dims(self.D, self.N, N_min=0)
         dim = self.D**self.N
         arr = np.array(self.matrix, dtype=np.complex128, copy=True)
         if arr.shape != (dim, dim):
@@ -263,9 +258,7 @@ def save_matrix(rho: DensityMatrix, path: str) -> None:
         fh.write(text + "\n")
 
 
-def load_matrix(
-    path: str, *, strict: bool = True, dim_cap: int = DEFAULT_DIM_CAP
-) -> DensityMatrix:
+def load_matrix(path: str, *, strict: bool = True) -> DensityMatrix:
     """Read a matrix file, enforcing the format invariants.
 
     strict=True rejects any violation (non-Hermitian payload, wrong trace
@@ -282,15 +275,11 @@ def load_matrix(
             f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
-    return payload_to_matrix(payload, strict=strict, dim_cap=dim_cap, origin=path)
+    return payload_to_matrix(payload, strict=strict, origin=path)
 
 
 def payload_to_matrix(
-    payload: object,
-    *,
-    strict: bool = True,
-    dim_cap: int = DEFAULT_DIM_CAP,
-    origin: str = "<payload>",
+    payload: object, *, strict: bool = True, origin: str = "<payload>"
 ) -> DensityMatrix:
     if not isinstance(payload, dict):
         raise MatrixFormatError(f"{origin}: top-level JSON value must be an object")
@@ -298,16 +287,14 @@ def payload_to_matrix(
         if key not in payload:
             raise MatrixFormatError(f"{origin}: missing key {key!r}")
     D, N = payload["D"], payload["N"]
-    if not isinstance(D, int) or isinstance(D, bool) or D < 1:
-        raise MatrixFormatError(f"{origin}: D must be a positive integer, got {D!r}")
-    if not isinstance(N, int) or isinstance(N, bool) or N < 0:
-        raise MatrixFormatError(f"{origin}: N must be a non-negative integer, got {N!r}")
+    try:
+        check_dims(D, N, N_min=0, capped=True)
+    except ValueError as exc:
+        raise MatrixFormatError(f"{origin}: {exc}") from None
     normalized = payload["normalized"]
     if not isinstance(normalized, bool):
         raise MatrixFormatError(f"{origin}: normalized must be a boolean")
     dim = D**N
-    if dim > dim_cap:
-        raise MatrixFormatError(f"{origin}: D^N = {dim} exceeds the dimension cap {dim_cap}")
     entries = payload["entries"]
     if not isinstance(entries, list) or len(entries) != dim * dim:
         got = len(entries) if isinstance(entries, list) else type(entries).__name__
@@ -361,10 +348,9 @@ def payload_to_matrix(
 # stock states
 # ---------------------------------------------------------------------------
 
-def maximally_mixed(D: int, N: int, *, dim_cap: int = DEFAULT_DIM_CAP) -> DensityMatrix:
+def maximally_mixed(D: int, N: int) -> DensityMatrix:
+    check_dims(D, N, N_min=0, capped=True)
     dim = D**N
-    if dim > dim_cap:
-        raise ValueError(f"D^N = {dim} exceeds the dimension cap {dim_cap}")
     return DensityMatrix(D=D, N=N, matrix=np.eye(dim) / dim, normalized=True)
 
 

@@ -58,8 +58,8 @@ from functools import reduce
 
 import numpy as np
 
-from .config_calculus import CouplingMode
-from .density import DEFAULT_DIM_CAP, DensityMatrix
+from .config_calculus import CouplingMode, check_dims
+from .density import DensityMatrix
 
 
 class ECClass(Enum):
@@ -88,10 +88,7 @@ class ECParams:
     b_sites: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.D, int) or isinstance(self.D, bool) or self.D < 2:
-            raise ValueError(f"D must be an integer >= 2, got {self.D!r}")
-        if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N < 2:
-            raise ValueError(f"N must be an integer >= 2, got {self.N!r}")
+        check_dims(self.D, self.N, D_min=2, N_min=2)
         p = complex(self.p)
         if self.ec_class is ECClass.A:
             if self.b_sites is not None:
@@ -172,7 +169,7 @@ class KronSum:
         return reduce(np.multiply, self.diag_sites[at]) + reduce(np.multiply, self.off_sites[at])
 
 
-def ec_operator(params: ECParams, *, dim_cap: int = DEFAULT_DIM_CAP) -> KronSum:
+def ec_operator(params: ECParams) -> KronSum:
     """The site factors of the EC matrix in ``params``, from the recurrence.
 
     The coupling mode is carried in ``params`` but does not enter the
@@ -180,9 +177,7 @@ def ec_operator(params: ECParams, *, dim_cap: int = DEFAULT_DIM_CAP) -> KronSum:
     evaluated on the result.
     """
     D, N = params.D, params.N
-    dim = D**N
-    if dim > dim_cap:
-        raise ValueError(f"D^N = {dim} exceeds the dimension cap {dim_cap}")
+    check_dims(D, N, capped=True)
 
     hub_lower = np.zeros((D, D), dtype=np.complex128)
     for k in range(1, D):
@@ -210,10 +205,10 @@ def ec_operator(params: ECParams, *, dim_cap: int = DEFAULT_DIM_CAP) -> KronSum:
     return KronSum(D, N, np.stack(diag_sites), np.stack(off_sites))
 
 
-def build_ec_matrix(params: ECParams, *, dim_cap: int = DEFAULT_DIM_CAP) -> DensityMatrix:
+def build_ec_matrix(params: ECParams) -> DensityMatrix:
     """Materialize the EC matrix of ``ec_operator(params)`` as a dense
     D^N x D^N DensityMatrix."""
-    op = ec_operator(params, dim_cap=dim_cap)
+    op = ec_operator(params)
     matrix = reduce(np.kron, op.diag_sites)
     matrix += reduce(np.kron, op.off_sites)
     trace = float(np.trace(matrix).real)
@@ -350,10 +345,7 @@ def threshold(
     Class a yields a SINGLE threshold in |p| (m_abs is ignored).  Class b
     yields a WINDOW per |m| = m_abs in 1..N-1.
     """
-    if not isinstance(D, int) or isinstance(D, bool) or D < 2:
-        raise ValueError(f"D must be an integer >= 2, got {D!r}")
-    if not isinstance(N, int) or isinstance(N, bool) or N < 2:
-        raise ValueError(f"N must be an integer >= 2, got {N!r}")
+    check_dims(D, N, D_min=2, N_min=2)
     x = float(D - 1)
     if ec_class is ECClass.A:
         v = _logistic(_a_exponent(mixing, coupling, N), x)
@@ -424,10 +416,7 @@ def duality_residuals(D: int, N: int) -> tuple[float, float]:
     coupled-variant roots in exchanged order (th1 <-> th2), for every
     |m| = 1..N-1.  Both residuals are expected to vanish to 1e-14.
     """
-    if not isinstance(D, int) or isinstance(D, bool) or D < 2:
-        raise ValueError(f"D must be an integer >= 2, got {D!r}")
-    if not isinstance(N, int) or isinstance(N, bool) or N < 2:
-        raise ValueError(f"N must be an integer >= 2, got {N!r}")
+    check_dims(D, N, D_min=2, N_min=2)
     x = float(D - 1)
     inv = 1.0 / x
 
@@ -457,10 +446,7 @@ def crossover_N(D: int) -> float:
     """Party-number scale separating the dilution-dominated regime from the
     mixing-dominated one: N_cr = ln(D-1).  Defined for integer D >= 3
     (the scale degenerates to 0 at D = 2)."""
-    if not isinstance(D, int) or isinstance(D, bool):
-        raise ValueError(f"D must be an integer, got {D!r}")
-    if D < 3:
-        raise ValueError(f"crossover scale needs D >= 3 (ln(D-1) vanishes at D=2), got D={D}")
+    check_dims(D, None, D_min=3)
     return math.log(D - 1)
 
 
@@ -470,12 +456,9 @@ def renormalized_threshold(gamma: float, m: int, N: int, D: int, alpha: float) -
     Factorials go through lgamma in log space, so N in the hundreds is
     exact enough and never overflows.  Requires gamma > 0 and 1 <= m <= N.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or not isinstance(N, int) or isinstance(N, bool):
-        raise ValueError("m and N must be integers")
-    if not 1 <= m <= N:
-        raise ValueError(f"m must lie in 1..N={N}, got {m}")
-    if not isinstance(D, int) or isinstance(D, bool) or D < 2:
-        raise ValueError(f"D must be an integer >= 2, got {D!r}")
+    check_dims(D, N, D_min=2)
+    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= N:
+        raise ValueError(f"m must be an integer in 1..N={N}, got {m!r}")
     if not gamma > 0.0:
         raise ValueError(f"gamma must be positive, got {gamma!r}")
     t = (math.log(gamma) + math.lgamma(m + 1) - math.lgamma(N + 1)) / N

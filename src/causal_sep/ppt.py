@@ -23,7 +23,8 @@ from .density import (
     partial_transpose,
 )
 
-DEFAULT_PPT_TOL = 1e-10
+# a partial-transpose eigenvalue below -PPT_TOL is negative
+PPT_TOL = 1e-10
 
 
 class PptOutcome(Enum):
@@ -47,9 +48,7 @@ class PptVerdict:
         }
 
 
-def ppt_check(
-    rho: DensityMatrix, subset: PartySubset, tol: float = DEFAULT_PPT_TOL
-) -> PptVerdict:
+def ppt_check(rho: DensityMatrix, subset: PartySubset) -> PptVerdict:
     """Eigenvalue test of the partial transpose over one party subset."""
     if not rho.normalized:
         raise ValueError("ppt_check expects a normalized density matrix")
@@ -57,7 +56,7 @@ def ppt_check(
     min_eig = float(spectrum[0])
     verdict = (
         PptOutcome.NPT_ENTANGLED
-        if min_eig < -tol
+        if min_eig < -PPT_TOL
         else PptOutcome.PPT_SEPARABLE_CONSISTENT
     )
     return PptVerdict(
@@ -68,13 +67,13 @@ def ppt_check(
     )
 
 
-def ppt_report(rho: DensityMatrix, tol: float = DEFAULT_PPT_TOL) -> list[PptVerdict]:
+def ppt_report(rho: DensityMatrix) -> list[PptVerdict]:
     """ppt_check over every canonical subset (proper subsets containing party 0).
 
     The partial-transpose spectrum over S equals the one over the complement
     of S, so these representatives cover all splits.
     """
-    return [ppt_check(rho, subset, tol) for subset in canonical_subsets(rho.N)]
+    return [ppt_check(rho, subset) for subset in canonical_subsets(rho.N)]
 
 
 def any_npt(verdicts: list[PptVerdict]) -> bool:

@@ -549,6 +549,38 @@ def test_exit_malformed_json(tmp_path, capsys):
     assert "JSON parse error" in err
 
 
+def test_classify_over_dimension_cap_file(tmp_path, capsys):
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"D": 10, "N": 30000000, "normalized": true, "entries": []}\n')
+    code, out, err = run_cli(["classify", "--input", str(huge)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {huge}: D^N = 10^30000000 exceeds the dimension cap 4096\n"
+
+
+def test_build_over_dimension_cap_flags(capsys):
+    code, out, err = run_cli(
+        ["ec", "build", "--class", "a", "--mixing", "weak", "--D", "10", "--N", "5000", "--p", "0.3"],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: D^N = 10^5000 exceeds the dimension cap 4096\n"
+
+
+def test_sweep_over_dimension_cap_before_closed_form(capsys):
+    # the class-a closed form overflows a float at D=10, N=200; the cap
+    # must reject the point before it is evaluated
+    code, out, err = run_cli(
+        ["ec", "sweep", "--class", "a", "--mixing", "weak", "--D", "10", "--N", "200", "--steps", "2"],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err == "error: D^N = 10^200 exceeds the dimension cap 4096\n"
+
+
 def test_exit_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["ec", "build", "--class", "a", "--D", "2", "--N", "2"], capsys)

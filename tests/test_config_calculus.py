@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from causal_sep.config_calculus import (
@@ -9,6 +10,16 @@ from causal_sep.config_calculus import (
     is_completely_orthogonal,
     orthogonal_partners,
     partition_distinct,
+)
+from causal_sep.density import DensityMatrix, MatrixFormatError, PartySubset, payload_to_matrix
+from causal_sep.ec_family import (
+    ECClass,
+    ECParams,
+    Mixing,
+    crossover_N,
+    duality_residuals,
+    renormalized_threshold,
+    threshold,
 )
 
 FREE = CouplingMode.N_FREE
@@ -41,6 +52,42 @@ def test_enumerate_bad_dims():
         enumerate_configurations(0, 2)
     with pytest.raises(ValueError):
         enumerate_configurations(2, 0)
+
+
+# (entry point, dimension name, value below its minimum, error type)
+_DIMENSION_ENTRY_POINTS = {
+    "DensityMatrix.D": (lambda v: DensityMatrix(D=v, N=2, matrix=np.eye(1)), "D", 0, ValueError),
+    "DensityMatrix.N": (lambda v: DensityMatrix(D=2, N=v, matrix=np.eye(1)), "N", -1, ValueError),
+    "PartySubset.N": (lambda v: PartySubset((0,), v), "N", 1, ValueError),
+    "ECParams.D": (lambda v: ECParams(ECClass.A, Mixing.WEAK, FREE, D=v, N=2, p=0.3), "D", 1, ValueError),
+    "ECParams.N": (lambda v: ECParams(ECClass.A, Mixing.WEAK, FREE, D=2, N=v, p=0.3), "N", 1, ValueError),
+    "threshold.D": (lambda v: threshold(ECClass.A, Mixing.WEAK, FREE, v, 2), "D", 1, ValueError),
+    "threshold.N": (lambda v: threshold(ECClass.A, Mixing.WEAK, FREE, 2, v), "N", 1, ValueError),
+    "duality_residuals.D": (lambda v: duality_residuals(v, 2), "D", 1, ValueError),
+    "duality_residuals.N": (lambda v: duality_residuals(2, v), "N", 1, ValueError),
+    "crossover_N.D": (crossover_N, "D", 2, ValueError),
+    "renormalized_threshold.D": (lambda v: renormalized_threshold(1.0, 1, 2, v, 1.0), "D", 1, ValueError),
+    "renormalized_threshold.N": (lambda v: renormalized_threshold(1.0, 1, v, 2, 1.0), "N", 0, ValueError),
+    "count_configurations.D": (lambda v: count_configurations(v, 2, FREE), "D", 0, ValueError),
+    "count_configurations.N": (lambda v: count_configurations(2, v, FREE), "N", 0, ValueError),
+    "payload_to_matrix.D": (
+        lambda v: payload_to_matrix({"D": v, "N": 1, "normalized": True, "entries": []}),
+        "D", 0, MatrixFormatError,
+    ),
+    "payload_to_matrix.N": (
+        lambda v: payload_to_matrix({"D": 2, "N": v, "normalized": True, "entries": []}),
+        "N", -1, MatrixFormatError,
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, "2", "below"])
+@pytest.mark.parametrize("entry", sorted(_DIMENSION_ENTRY_POINTS))
+def test_dimensions_must_be_integers_at_or_above_minimum(entry, bad):
+    call, name, below, error = _DIMENSION_ENTRY_POINTS[entry]
+    value = below if bad == "below" else bad
+    with pytest.raises(error, match=rf"integer {name} >= \d+, got {name}={value!r}"):
+        call(value)
 
 
 def test_completely_orthogonal():

@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import numpy as np
 import pytest
@@ -209,6 +210,28 @@ def test_load_parse_error_reports_position(tmp_path):
 def test_load_missing_file():
     with pytest.raises(OSError):
         load_matrix("/nonexistent/matrix.json")
+
+
+def test_load_over_dimension_cap_fails_fast(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"D": 10, "N": 30000000, "normalized": true, "entries": []}\n')
+    start = time.perf_counter()
+    with pytest.raises(
+        MatrixFormatError, match=re.escape(f"{path}: D^N = 10^30000000 exceeds the dimension cap 4096")
+    ):
+        load_matrix(str(path))
+    assert time.perf_counter() - start < 1.0
+    payload = {"D": 2, "N": 13, "normalized": True, "entries": []}
+    with pytest.raises(MatrixFormatError, match=re.escape("D^N = 8192 exceeds the dimension cap 4096")):
+        payload_to_matrix(payload)
+
+
+def test_maximally_mixed_dimension_cap():
+    assert maximally_mixed(2, 12).dim == 4096
+    with pytest.raises(ValueError, match=re.escape("D^N = 8192 exceeds the dimension cap 4096")):
+        maximally_mixed(2, 13)
+    with pytest.raises(ValueError, match=re.escape("D^N = 10^1000000000 exceeds the dimension cap")):
+        maximally_mixed(10, 10**9)
 
 
 def test_load_rejects_wrong_shapes(tmp_path):
