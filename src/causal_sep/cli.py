@@ -25,7 +25,7 @@ from .density import (
     PartySubset,
     hermitian_eigenvalues,
     load_matrix,
-    matrix_to_payload,
+    matrix_json,
 )
 from .ec_family import (
     ECClass,
@@ -281,7 +281,7 @@ def cmd_ec_build(args) -> str:
         f"min eigenvalue = {min_eig!r} ({'PSD' if psd else 'not PSD'})",
         file=sys.stderr,
     )
-    return _json_payload(matrix_to_payload(rho))
+    return matrix_json(rho)
 
 
 def _threshold_rows(variant: Variant, D: int, N: int, m_abs: int | None) -> list[list]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -125,15 +126,28 @@ def count_configurations(D: int, N: int, mode: CouplingMode) -> ConfigCensus:
 
     Free mode: K = ceil(D^N / (1 + (D-1)^N)), evaluated with integer
     ceiling division so arbitrarily large D, N stay exact (Python integers
-    do not overflow).  Coupled mode: K = D^(N-1).
+    do not overflow).  Coupled mode: K = D^(N-1).  Counts with more decimal
+    digits than ``sys.get_int_max_str_digits()`` could not be printed and
+    are rejected.
     """
     check_dims(D, N)
-    total = D**N
-    if mode is CouplingMode.N_COUPLED:
-        K = D ** (N - 1)
-    else:
-        denom = 1 + (D - 1) ** N
-        K = (total + denom - 1) // denom
+    limit = sys.get_int_max_str_digits()
+    # K_bar, the larger count, is at least D^N / 2: far above the limit
+    # (N log10 D > limit + 1) D**N is never formed, near it K_bar decides
+    too_long = limit and N * math.log10(D) > limit + 1
+    if not too_long:
+        total = D**N
+        if mode is CouplingMode.N_COUPLED:
+            K = D ** (N - 1)
+        else:
+            denom = 1 + (D - 1) ** N
+            K = (total + denom - 1) // denom
+        too_long = limit and total - K >= 10**limit
+    if too_long:
+        raise ValueError(
+            f"the counts for D^N = {D}^{N} have more than {limit} decimal digits, "
+            f"the integer string conversion limit (sys.get_int_max_str_digits())"
+        )
     return ConfigCensus(D=D, N=N, K=K, K_bar=total - K)
 
 

@@ -8,14 +8,16 @@ The on-disk format is JSON:
 
     {"D": int, "N": int, "normalized": bool, "entries": [[re, im], ...]}
 
-with entries in row-major order (length D**(2N)), written with shortest
-round-trip decimals so that save/load is bit-exact.
+with entries in row-major order (length D**(2N)), written compactly with
+shortest round-trip decimals so that save/load is bit-exact.  Any JSON
+spelling of that object loads.
 """
 from __future__ import annotations
 
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -122,12 +124,16 @@ class DensityMatrix:
         return rho
 
     def _seal(self, arr: np.ndarray, *, hermitian: bool) -> None:
+        # the "not <=" tests fail on NaN too; any non-finite entry makes
+        # the asymmetry non-finite
         asym = 0.0 if hermitian else _max_asymmetry(arr)
-        if asym > HERMITICITY_TOL:
+        if not asym <= HERMITICITY_TOL:
+            if not np.isfinite(arr).all():
+                raise ValueError("matrix entries must be finite")
             raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {asym:.3e}")
         if self.normalized:
             tr = complex(np.trace(arr))
-            if abs(tr - 1.0) > TRACE_TOL:
+            if not abs(tr - 1.0) <= TRACE_TOL:
                 raise ValueError(
                     f"normalized flag set but |trace - 1| = {abs(tr - 1.0):.3e}"
                 )
@@ -149,10 +155,11 @@ class DensityMatrix:
 def _max_asymmetry(arr: np.ndarray) -> float:
     """max |M - M^dag|, taken in row blocks: no dim x dim temporary."""
     step = max(1, ASYMMETRY_BLOCK_BYTES // (16 * len(arr)))
-    return max(
-        float(np.max(np.abs(arr[lo : lo + step] - arr[:, lo : lo + step].conj().T)))
+    # np.max, unlike max(), keeps a NaN from any block
+    return float(np.max([
+        np.max(np.abs(arr[lo : lo + step] - arr[:, lo : lo + step].conj().T))
         for lo in range(0, len(arr), step)
-    )
+    ]))
 
 
 def config_to_index(c: Configuration, D: int) -> int:
@@ -234,7 +241,7 @@ def hermitian_eigenvalues(rho: DensityMatrix) -> np.ndarray:
     trace to the same tolerance.
     """
     asym = _max_asymmetry(rho.matrix)
-    if asym > EIGENSOLVER_HERMITICITY_TOL:
+    if not asym <= EIGENSOLVER_HERMITICITY_TOL:
         raise ValueError(
             f"eigensolver requires a Hermitian matrix: max |M - M^dag| = {asym:.3e}"
         )
@@ -245,17 +252,49 @@ def hermitian_eigenvalues(rho: DensityMatrix) -> np.ndarray:
 # serialization
 # ---------------------------------------------------------------------------
 
+# The "entries" value of a matrix file that is a JSON array of [re, im]
+# pairs of JSON numbers, JSON whitespace allowed between tokens.  The
+# possessive quantifiers (Python 3.11+) keep the match one pass with no
+# backtracking.
+_WS = rb"[ \t\n\r]*+"
+_NUMBER = rb"-?+(?:0|[1-9][0-9]*+)(?:\.[0-9]++)?+(?:[eE][+-]?+[0-9]++)?+"
+_PAIR = rb"\[" + _WS + _NUMBER + _WS + rb"," + _WS + _NUMBER + _WS + rb"\]"
+_ENTRIES = re.compile(
+    rb'"entries"' + _WS + rb":" + _WS + rb"(\[" + _WS
+    + rb"(?:" + _PAIR + rb"(?:" + _WS + rb"," + _WS + _PAIR + rb")*+)?+" + _WS + rb"\])"
+)
+_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
+# json reads the integer token -0 as +0.0, numpy's parser as -0.0
+_INTEGER_MINUS_ZERO = re.compile(rb"-0[ \t\n\r,]")
+# Floats per chunk of the writer (even: whole pairs)
+WRITE_CHUNK = 2**16
+
+
 def matrix_to_payload(rho: DensityMatrix) -> dict:
+    """The file's object with the entries as nested lists; ``matrix_json``
+    writes the same text without building them."""
     entries = np.ascontiguousarray(rho.matrix).view(np.float64).reshape(-1, 2).tolist()
     return {"D": rho.D, "N": rho.N, "normalized": rho.normalized, "entries": entries}
 
 
+def matrix_json(rho: DensityMatrix) -> str:
+    """The matrix file text: byte for byte ``json.dumps(matrix_to_payload(rho),
+    separators=(",", ":"))`` and a newline, written from the flat float64 view
+    a chunk at a time.  json writes a float as its repr."""
+    head = json.dumps(
+        {"D": rho.D, "N": rho.N, "normalized": rho.normalized}, separators=(",", ":")
+    )
+    flat = np.ascontiguousarray(rho.matrix).view(np.float64).reshape(-1)
+    chunks = []
+    for lo in range(0, flat.size, WRITE_CHUNK):
+        floats = map(repr, flat[lo : lo + WRITE_CHUNK].tolist())
+        chunks.append("],[".join(map(",".join, zip(floats, floats))))
+    return f'{head[:-1]},"entries":[[{"],[".join(chunks)}]]}}\n'
+
+
 def save_matrix(rho: DensityMatrix, path: str) -> None:
-    # json.dumps runs the C encoder; json.dump would stream through the
-    # pure-Python one
-    text = json.dumps(matrix_to_payload(rho), separators=(",", ":"), allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write(matrix_json(rho))
 
 
 def load_matrix(path: str, *, strict: bool = True) -> DensityMatrix:
@@ -265,7 +304,21 @@ def load_matrix(path: str, *, strict: bool = True) -> DensityMatrix:
     under the normalized flag) with an error naming the violated invariant
     and its magnitude.  strict=False repairs Hermiticity by (M + M^dag)/2
     and downgrades a wrong normalized flag instead of failing.
+
+    Entries written as [re, im] pairs of JSON numbers are parsed straight
+    into one float64 array.  Any other file goes through ``json.loads`` and
+    ``payload_to_matrix``, which load any valid JSON and name each error.
     """
+    with open(path, "rb") as fh:
+        split = _split_entries(fh.read())
+    if split is not None:
+        header, body = split
+        D, N, normalized = _header(header, path)
+        dim = D**N
+        _check_count(body.count(b"[") - 1, dim, path)
+        pairs = _parse_pairs(body, 2 * dim * dim)
+        if pairs is not None:
+            return _from_pairs(pairs, D, N, normalized, strict, path)
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     try:
@@ -278,29 +331,49 @@ def load_matrix(path: str, *, strict: bool = True) -> DensityMatrix:
     return payload_to_matrix(payload, strict=strict, origin=path)
 
 
+def _split_entries(data: bytes) -> tuple[dict, bytes] | None:
+    """(header, entries text) when the top-level "entries" value of the file
+    is an array of number pairs; the header is the file parsed with that
+    value replaced by [].  None when the text alone does not settle it."""
+    found = _ENTRIES.search(data)
+    if found is None:
+        return None
+    start, end = found.span(1)
+    head = data[:start] + b"[]" + data[end:]
+    # one "entries" token and no escapes: no other key spells "entries", so
+    # header["entries"] == [] holds only if the match is the top-level value
+    if head.count(b'"entries"') != 1 or b"\\" in head:
+        return None
+    try:
+        header = json.loads(head.decode("utf-8"))
+    except ValueError:
+        return None
+    if not (isinstance(header, dict) and header.get("entries") == []):
+        return None
+    return header, data[start:end]
+
+
+def _parse_pairs(body: bytes, size: int) -> np.ndarray | None:
+    """The ``size`` numbers of a matched entries text as one float64 array,
+    or None where numpy's parser may read a token otherwise than json: a
+    non-finite value, or the integer token -0."""
+    text = body.translate(_BRACKETS_TO_SPACES)
+    pairs = np.fromstring(text, sep=",")
+    if pairs.size != size or not np.isfinite(pairs).all():
+        return None
+    if (np.signbit(pairs) & (pairs == 0)).any() and _INTEGER_MINUS_ZERO.search(text):
+        return None
+    return pairs
+
+
 def payload_to_matrix(
     payload: object, *, strict: bool = True, origin: str = "<payload>"
 ) -> DensityMatrix:
-    if not isinstance(payload, dict):
-        raise MatrixFormatError(f"{origin}: top-level JSON value must be an object")
-    for key in ("D", "N", "normalized", "entries"):
-        if key not in payload:
-            raise MatrixFormatError(f"{origin}: missing key {key!r}")
-    D, N = payload["D"], payload["N"]
-    try:
-        check_dims(D, N, N_min=0, capped=True)
-    except ValueError as exc:
-        raise MatrixFormatError(f"{origin}: {exc}") from None
-    normalized = payload["normalized"]
-    if not isinstance(normalized, bool):
-        raise MatrixFormatError(f"{origin}: normalized must be a boolean")
+    D, N, normalized = _header(payload, origin)
     dim = D**N
     entries = payload["entries"]
-    if not isinstance(entries, list) or len(entries) != dim * dim:
-        got = len(entries) if isinstance(entries, list) else type(entries).__name__
-        raise MatrixFormatError(
-            f"{origin}: entries must be a list of length D^2N = {dim * dim}, got {got}"
-        )
+    got = len(entries) if isinstance(entries, list) else type(entries).__name__
+    _check_count(got, dim, origin)
     try:
         pairs = np.array(entries, dtype=np.float64)
     except (TypeError, ValueError, OverflowError):
@@ -322,10 +395,46 @@ def payload_to_matrix(
                 raise MatrixFormatError(
                     f"{origin}: entry {k} must be a [re, im] pair of numbers, got {pair!r}"
                 )
-            if not (math.isfinite(float(pair[0])) and math.isfinite(float(pair[1]))):
+            try:
+                finite = math.isfinite(pair[0]) and math.isfinite(pair[1])
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            if not finite:
                 raise MatrixFormatError(f"{origin}: entry {k} is not finite: {pair!r}")
-    arr = pairs.view(np.complex128).reshape(dim, dim)
+    return _from_pairs(pairs.reshape(-1), D, N, normalized, strict, origin)
 
+
+def _header(payload: object, origin: str) -> tuple[int, int, bool]:
+    """D, N and the normalized flag of a payload, checked in file order."""
+    if not isinstance(payload, dict):
+        raise MatrixFormatError(f"{origin}: top-level JSON value must be an object")
+    for key in ("D", "N", "normalized", "entries"):
+        if key not in payload:
+            raise MatrixFormatError(f"{origin}: missing key {key!r}")
+    D, N = payload["D"], payload["N"]
+    try:
+        check_dims(D, N, N_min=0, capped=True)
+    except ValueError as exc:
+        raise MatrixFormatError(f"{origin}: {exc}") from None
+    normalized = payload["normalized"]
+    if not isinstance(normalized, bool):
+        raise MatrixFormatError(f"{origin}: normalized must be a boolean")
+    return D, N, normalized
+
+
+def _check_count(got: int | str, dim: int, origin: str) -> None:
+    if got != dim * dim:
+        raise MatrixFormatError(
+            f"{origin}: entries must be a list of length D^2N = {dim * dim}, got {got}"
+        )
+
+
+def _from_pairs(
+    pairs: np.ndarray, D: int, N: int, normalized: bool, strict: bool, origin: str
+) -> DensityMatrix:
+    """The matrix of 2 D^2N finite floats, after the Hermiticity and trace checks."""
+    dim = D**N
+    arr = pairs.view(np.complex128).reshape(dim, dim)
     asym = _max_asymmetry(arr)
     if asym > HERMITICITY_TOL:
         if strict:

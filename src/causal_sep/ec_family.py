@@ -93,7 +93,7 @@ class ECParams:
         if self.ec_class is ECClass.A:
             if self.b_sites is not None:
                 raise ValueError("b_sites applies to the b-class only")
-            if abs(p) > 1.0 + 1e-12:
+            if not abs(p) <= 1.0 + 1e-12:  # NaN fails too
                 raise ValueError(f"class-a mixing parameter needs |p| <= 1, got |p| = {abs(p)}")
         else:
             if p.imag != 0.0:

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import math
+import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,7 +13,9 @@ from causal_sep.criterion import classify
 from causal_sep.density import DensityMatrix, bell_state, save_matrix
 from causal_sep.ec_family import (
     ECClass,
+    ECParams,
     Mixing,
+    build_ec_matrix,
     threshold,
 )
 from causal_sep.config_calculus import CouplingMode
@@ -64,6 +68,20 @@ def test_config_count_greedy_beyond_1024_configurations(capsys):
     assert payload["K"] == 17
     assert payload["greedy_distinct"] == 729
     assert payload["greedy_matches_K"] is False
+
+
+@pytest.mark.parametrize("N", ["5000", "30000000"])
+def test_config_count_beyond_the_integer_string_limit_fails_fast(capsys, N):
+    start = time.perf_counter()
+    code, out, err = run_cli(["config-count", "--D", "10", "--N", N], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    limit = sys.get_int_max_str_digits()
+    assert err == (
+        f"error: the counts for D^N = 10^{N} have more than {limit} decimal digits, "
+        "the integer string conversion limit (sys.get_int_max_str_digits())\n"
+    )
 
 
 def test_config_count_csv(capsys):
@@ -343,6 +361,29 @@ def test_build_emits_matrix_json(capsys):
     assert len(payload["entries"]) == 16
 
 
+def test_build_writes_the_save_matrix_bytes(tmp_path, capsys):
+    built = tmp_path / "built.json"
+    code, _, _ = run_cli(
+        ["ec", "build", "--class", "a", "--mixing", "weak", "--D", "3", "--N", "3",
+         "--p", "(0.4-0.3j)", "--out", str(built)],
+        capsys,
+    )
+    assert code == 0
+    saved = tmp_path / "saved.json"
+    save_matrix(build_ec_matrix(ECParams(ECClass.A, Mixing.WEAK, CouplingMode.N_FREE, 3, 3, 0.4 - 0.3j)), str(saved))
+    assert built.read_bytes() == saved.read_bytes()
+
+
+def test_build_rejects_nan_mixing_parameter(capsys):
+    code, out, err = run_cli(
+        ["ec", "build", "--class", "a", "--mixing", "weak", "--D", "2", "--N", "2", "--p", "nan"],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == "error: class-a mixing parameter needs |p| <= 1, got |p| = nan\n"
+
+
 def test_build_rejects_csv(capsys):
     code, _, err = run_cli(
         [
@@ -547,6 +588,16 @@ def test_exit_malformed_json(tmp_path, capsys):
     code, _, err = run_cli(["classify", "--input", str(bad)], capsys)
     assert code == 2
     assert "JSON parse error" in err
+
+
+def test_classify_huge_integer_entry(tmp_path, capsys):
+    path = tmp_path / "huge_int.json"
+    path.write_text('{"D":1,"N":0,"normalized":false,"entries":[[1' + "0" * 400 + ',0]]}')
+    code, out, err = run_cli(["classify", "--input", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: entry 0 is not finite: [1000")
+    assert "Traceback" not in err
 
 
 def test_classify_over_dimension_cap_file(tmp_path, capsys):

@@ -1,11 +1,13 @@
 import json
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_hermitian
+from causal_sep import density
 from causal_sep.density import (
     DensityMatrix,
     MatrixFormatError,
@@ -18,6 +20,7 @@ from causal_sep.density import (
     hermitian_eigenvalues,
     index_to_config,
     load_matrix,
+    matrix_json,
     matrix_to_payload,
     maximally_mixed,
     partial_transpose,
@@ -26,6 +29,8 @@ from causal_sep.density import (
     tensor_product,
     transpose_parties,
 )
+from causal_sep.ec_family import ECClass, ECParams, Mixing, build_ec_matrix
+from causal_sep.config_calculus import CouplingMode
 
 
 def test_index_encoding_last_party_fastest():
@@ -51,6 +56,22 @@ def test_construction_checks_hermiticity():
     # the error names the size of the violation
     with pytest.raises(ValueError, match="1.000e-01"):
         DensityMatrix(D=2, N=1, matrix=bad, normalized=True)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+def test_construction_rejects_non_finite_entries():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        DensityMatrix(2, 1, [[nan, 0], [0, nan]])
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        DensityMatrix(2, 1, [[0.5, float("inf")], [float("inf"), 0.5]], normalized=False)
+    # a NaN in a later row block of the Hermiticity check is seen too
+    arr = np.eye(1024, dtype=complex) / 1024
+    arr[1000, 3] = arr[3, 1000] = nan
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        DensityMatrix(2, 10, arr, normalized=False)
+    with pytest.raises(ValueError, match="trace"):
+        DensityMatrix._adopt(2, 1, np.diag([nan, 0.5]).astype(complex), True, hermitian=True)
 
 
 def test_construction_checks_trace_only_when_flagged():
@@ -257,6 +278,7 @@ def test_load_rejects_wrong_shapes(tmp_path):
         ([0.0, 0.0, 0.0], "entry 1 must be a [re, im] pair"),
         ([0.0, float("inf")], "entry 1 is not finite"),
         ([float("nan"), 0.0], "entry 1 is not finite"),
+        ([10**400, 0.0], "entry 1 is not finite"),  # beyond the float range
     ],
 )
 def test_payload_names_first_bad_entry(bad, message):
@@ -320,3 +342,167 @@ def test_bell_state_kinds():
 def test_matrix_payload_shape():
     payload = matrix_to_payload(maximally_mixed(2, 1))
     assert payload["entries"] == [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
+
+
+# ---------------------------------------------------------------------------
+# matrix files: the array route against the json route
+# ---------------------------------------------------------------------------
+
+def _json_route(path):
+    """The loader that parses the whole file with json.loads: its arrays and
+    its error messages are what load_matrix must reproduce."""
+    text = open(path, encoding="utf-8").read()
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MatrixFormatError(
+            f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    return payload_to_matrix(payload, origin=str(path))
+
+
+_EDGE_TOKENS = [
+    "0", "-0.0", "0.0", "1E5", "1e+05", "-1e-05", "5e-324", "-5e-324", "1e-400",
+    "2.2250738585072014e-308", "1.7976931348623157e308", "9007199254740993",
+    "123456789012345678901234567890", "0.30000000000000004", "-0.1000000000000000055511",
+    "4.9406564584124654e-324", "1.00000000000000011102230246251565404236316680908203125",
+]
+
+
+def _edge_entries(tokens, dim, rng):
+    """dim x dim Hermitian token grid: the conjugate of a token is its negation."""
+    neg = lambda t: t[1:] if t.startswith("-") else "-" + t
+    grid = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        grid[i][i] = (str(rng.choice(tokens)), str(rng.choice(["0", "0.0", "-0.0", "0e7"])))
+        for j in range(i + 1, dim):
+            re_, im = str(rng.choice(tokens)), str(rng.choice(tokens))
+            grid[i][j], grid[j][i] = (re_, im), (re_, neg(im))
+    return [pair for row in grid for pair in row]
+
+
+def _encode(pairs, D, N, style):
+    if style == "compact":
+        body = ",".join(f"[{a},{b}]" for a, b in pairs)
+        return f'{{"D":{D},"N":{N},"normalized":false,"entries":[{body}]}}'
+    if style == "default":
+        body = ", ".join(f"[{a}, {b}]" for a, b in pairs)
+        return f'{{"D": {D}, "N": {N}, "normalized": false, "entries": [{body}]}}'
+    body = ",\n".join(f" [\n  {a},\n  {b}\n ]" for a, b in pairs)
+    return f'{{\n "D": {D},\n "N": {N},\n "normalized": false,\n "entries": [\n{body}\n]\n}}'
+
+
+@pytest.mark.parametrize("style", ["compact", "default", "indent"])
+@pytest.mark.parametrize("with_int_minus_zero", [False, True])
+def test_load_bitwise_equal_to_json_route(tmp_path, style, with_int_minus_zero):
+    rng = np.random.default_rng(23)
+    tokens = _EDGE_TOKENS + ["-0"] * with_int_minus_zero
+    for k, (D, N) in enumerate([(2, 1), (2, 2), (3, 2), (1, 0)] * 3):
+        pairs = _edge_entries(tokens, D**N, rng)
+        path = tmp_path / f"m{k}.json"
+        path.write_text(_encode(pairs, D, N, style))
+        want = np.array(json.loads(path.read_text())["entries"], dtype=np.float64)
+        got = load_matrix(str(path)).matrix.view(np.float64).reshape(-1, 2)
+        assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+
+def test_load_reads_number_pairs_without_json_entries(tmp_path, monkeypatch):
+    signed_zeros = np.array([[0.5, complex(-0.0, -0.0)], [complex(-0.0, 0.0), 0.5]])
+    states = [
+        build_ec_matrix(ECParams(ECClass.A, Mixing.WEAK, CouplingMode.N_FREE, 3, 3, 0.4 - 0.3j)),
+        DensityMatrix(2, 1, signed_zeros),  # -0.0 tokens, which json reads as -0.0 too
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the json route ran on a file of number pairs")
+
+    monkeypatch.setattr(density, "payload_to_matrix", refuse)
+    for k, rho in enumerate(states):
+        path = tmp_path / f"m{k}.json"
+        save_matrix(rho, str(path))
+        assert load_matrix(str(path)).matrix.tobytes() == rho.matrix.tobytes()
+
+
+_GOOD = '{"D":2,"N":1,"normalized":true,"entries":[[0.5,0.0],[0.1,-0.2],[0.1,0.2],[0.5,0.0]]}'
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [("0.1", t) for t in ["+1", "01", "1.", ".5", "NaN", "Infinity", "-Infinity", "1e400",
+                          "1" + "0" * 400, '"0.1"', "true", "null", "1e", "-", "[0.1]"]]
+    + [
+        ("[0.5,0.0]]", "[0.5,0.0],]"),  # trailing comma
+        ("[0.1,-0.2]", "[0.1]"),
+        ("[0.1,-0.2]", "[0.1,-0.2,0.0]"),
+        ("[0.1,-0.2]", "[0.1,-0.3]"),  # not Hermitian
+        ("[0.5,0.0],[0.1", "[0.6,0.0],[0.1"),  # trace
+        ('"normalized":true', '"normalized":1'),
+        ('"D":2', '"D":2.0'),
+        ('"D":2', '"D":10,"N":30000000'),
+        ('"D":2,', '"x":{"entries":[[1,0]]},'),  # "entries" of a nested object only
+        ("]]}", "]]}x"),
+    ],
+)
+def test_load_errors_match_json_route(tmp_path, old, new):
+    path = tmp_path / "bad.json"
+    path.write_text(_GOOD.replace(old, new, 1))
+    with pytest.raises(MatrixFormatError) as want:
+        _json_route(path)
+    with pytest.raises(MatrixFormatError) as got:
+        load_matrix(str(path))
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"entries"', '"\\u0065ntries"'),  # the key, spelled with an escape
+        ('"D":2,', '"x":{"entries":[[1,0]]},"D":2,'),
+        ('"D":2,', '"entries":[[1,0]],"D":2,'),  # json keeps the last duplicate
+        ('"D":2,', '"\\u0065ntries":[[1,0]],"D":2,'),
+        ("0.1,-0.2", " 0.1 ,\r\n\t-0.2 "),
+        ("[0.5,0.0]]", "[0.5,-0]]"),
+    ],
+)
+def test_load_unusual_json_equals_json_route(tmp_path, old, new):
+    path = tmp_path / "odd.json"
+    path.write_text(_GOOD.replace(old, new, 1))
+    want, got = _json_route(path), load_matrix(str(path))
+    assert got.matrix.tobytes() == want.matrix.tobytes()
+    assert got.normalized == want.normalized
+
+
+def test_load_error_messages(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(_GOOD.replace("0.1", "+1", 1))
+    with pytest.raises(MatrixFormatError) as exc:
+        load_matrix(str(path))
+    assert str(exc.value) == f"{path}: JSON parse error at line 1, column 54: Expecting value"
+    path.write_text(_GOOD.replace("0.1", "1" + "0" * 400, 1))
+    with pytest.raises(MatrixFormatError, match=re.escape(f"{path}: entry 1 is not finite: [1000")):
+        load_matrix(str(path))
+
+
+@pytest.mark.parametrize("D, N", [(2, 1), (3, 2), (2, 5), (3, 5)])  # (3, 5): two chunks
+def test_matrix_json_equals_json_dumps(D, N):
+    rng = np.random.default_rng(D * 10 + N)
+    rho = random_hermitian(D, N, rng, scale=10.0 ** rng.integers(-300, 300))
+    ec = build_ec_matrix(ECParams(ECClass.A, Mixing.STRONG, CouplingMode.N_FREE, D, max(N, 2), 0.3 + 0.4j))
+    for m in (rho, ec, maximally_mixed(D, N)):
+        want = json.dumps(matrix_to_payload(m), separators=(",", ":")) + "\n"
+        assert matrix_json(m) == want
+
+
+def test_load_memory_bound_at_1024(tmp_path):
+    rho = build_ec_matrix(ECParams(ECClass.A, Mixing.STRONG, CouplingMode.N_FREE, 2, 10, 0.3 + 0.4j))
+    path = tmp_path / "cap.json"
+    save_matrix(rho, str(path))
+    del rho
+    tracemalloc.start()
+    try:
+        loaded = load_matrix(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.dim == 1024
+    assert peak < 64 * 2**20, f"load peaked at {peak / 2**20:.1f} MiB"

@@ -47,6 +47,12 @@ def test_params_validation():
         params(N=1)
     with pytest.raises(ValueError):
         params(p=1.5)
+    with pytest.raises(ValueError, match=r"\|p\| <= 1, got \|p\| = nan"):
+        params(p=float("nan"))
+    with pytest.raises(ValueError, match="real"):
+        params(ec_class=B, p=complex(0.5, float("nan")))
+    with pytest.raises(ValueError, match=r"\[0, 1\], got nan"):
+        params(ec_class=B, p=float("nan"))
     with pytest.raises(ValueError):
         params(ec_class=B, p=0.5 + 0.1j)
     with pytest.raises(ValueError):
