@@ -285,6 +285,8 @@ def matrix_json(rho: DensityMatrix) -> str:
         {"D": rho.D, "N": rho.N, "normalized": rho.normalized}, separators=(",", ":")
     )
     flat = np.ascontiguousarray(rho.matrix).view(np.float64).reshape(-1)
+    if not np.isfinite(flat).all():
+        raise ValueError("matrix entries must be finite to be written as JSON")
     chunks = []
     for lo in range(0, flat.size, WRITE_CHUNK):
         floats = map(repr, flat[lo : lo + WRITE_CHUNK].tolist())
@@ -293,8 +295,9 @@ def matrix_json(rho: DensityMatrix) -> str:
 
 
 def save_matrix(rho: DensityMatrix, path: str) -> None:
+    text = matrix_json(rho)  # before open: an error leaves the file as it was
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(matrix_json(rho))
+        fh.write(text)
 
 
 def load_matrix(path: str, *, strict: bool = True) -> DensityMatrix:
@@ -310,17 +313,18 @@ def load_matrix(path: str, *, strict: bool = True) -> DensityMatrix:
     ``payload_to_matrix``, which load any valid JSON and name each error.
     """
     with open(path, "rb") as fh:
-        split = _split_entries(fh.read())
+        data = fh.read()
+    split = _split_entries(data)
     if split is not None:
         header, body = split
         D, N, normalized = _header(header, path)
-        dim = D**N
-        _check_count(body.count(b"[") - 1, dim, path)
-        pairs = _parse_pairs(body, 2 * dim * dim)
+        _check_count(body.count(b"[") - 1, D**N, path)
+        pairs = _parse_pairs(body)
         if pairs is not None:
             return _from_pairs(pairs, D, N, normalized, strict, path)
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    # newlines translated as a text-mode read does, so the line and column
+    # of a parse error are as json reports them for such a read
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -353,13 +357,13 @@ def _split_entries(data: bytes) -> tuple[dict, bytes] | None:
     return header, data[start:end]
 
 
-def _parse_pairs(body: bytes, size: int) -> np.ndarray | None:
-    """The ``size`` numbers of a matched entries text as one float64 array,
-    or None where numpy's parser may read a token otherwise than json: a
-    non-finite value, or the integer token -0."""
+def _parse_pairs(body: bytes) -> np.ndarray | None:
+    """The numbers of a matched entries text as one float64 array, or None
+    where numpy's parser may read a token otherwise than json: a non-finite
+    value, or the integer token -0."""
     text = body.translate(_BRACKETS_TO_SPACES)
     pairs = np.fromstring(text, sep=",")
-    if pairs.size != size or not np.isfinite(pairs).all():
+    if not np.isfinite(pairs).all():
         return None
     if (np.signbit(pairs) & (pairs == 0)).any() and _INTEGER_MINUS_ZERO.search(text):
         return None
@@ -441,7 +445,12 @@ def _from_pairs(
             raise MatrixFormatError(
                 f"{origin}: hermiticity invariant violated: max |M - M^dag| = {asym:.3e}"
             )
-        arr = (arr + arr.conj().T) / 2.0
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            arr = (arr + arr.conj().T) / 2.0
+        if not np.isfinite(arr).all():
+            raise MatrixFormatError(
+                f"{origin}: hermiticity repair overflows: entries must be finite"
+            )
     if normalized:
         tr = complex(np.trace(arr)) if dim else 0.0
         if abs(tr - 1.0) > TRACE_TOL:

@@ -154,6 +154,44 @@ def test_count_exact_ceiling():
     assert census.K == (10**40 + denom - 1) // denom
 
 
+def test_census_invariant_guard():
+    with pytest.raises(ValueError):
+        ConfigCensus(D=2, N=2, K=3, K_bar=2)
+
+
+def test_partition_small():
+    part = partition_distinct(2, 2)
+    assert part.distinct == [(0, 0), (0, 1)]
+    assert part.orthogonal == [(1, 0), (1, 1)]
+    part = partition_distinct(1, 2)
+    assert part.distinct == [(0, 0)]
+    assert part.orthogonal == []
+
+
+def test_partition_covers_everything():
+    part = partition_distinct(3, 3)
+    assert len(part.distinct) + len(part.orthogonal) == 27
+    # every orthogonal config has a completely orthogonal distinct witness
+    for c in part.orthogonal:
+        assert any(is_completely_orthogonal(c, d) for d in part.distinct)
+    # no distinct pair is completely orthogonal
+    for i, a in enumerate(part.distinct):
+        for b in part.distinct[i + 1 :]:
+            assert not is_completely_orthogonal(a, b)
+
+
+def test_partition_greedy_vs_census_mismatch_is_visible():
+    # For D > 2 the greedy size can exceed the ceiling count; both numbers
+    # are exposed so the discrepancy is reported, not hidden.
+    census = count_configurations(3, 2, FREE)
+    part = partition_distinct(3, 2)
+    assert census.K == 2
+    assert len(part.distinct) == 3
+    # for qubits the two counts agree
+    for N in range(2, 9):
+        assert len(partition_distinct(2, N).distinct) == count_configurations(2, N, FREE).K
+
+
 def test_count_rejects_counts_beyond_the_integer_string_limit():
     limit = sys.get_int_max_str_digits()
     # 10^limit has limit + 1 digits, but K_bar = 10^limit - K has limit

@@ -441,6 +441,8 @@ _GOOD = '{"D":2,"N":1,"normalized":true,"entries":[[0.5,0.0],[0.1,-0.2],[0.1,0.2
         ('"D":2', '"D":10,"N":30000000'),
         ('"D":2,', '"x":{"entries":[[1,0]]},'),  # "entries" of a nested object only
         ("]]}", "]]}x"),
+        ('"N":1,', '\r"N":,'),  # a lone CR ends a line in a text-mode read
+        ('"N":1,', '\r\n"N":,'),
     ],
 )
 def test_load_errors_match_json_route(tmp_path, old, new):
@@ -491,6 +493,29 @@ def test_matrix_json_equals_json_dumps(D, N):
     for m in (rho, ec, maximally_mixed(D, N)):
         want = json.dumps(matrix_to_payload(m), separators=(",", ":")) + "\n"
         assert matrix_json(m) == want
+
+
+def test_load_lenient_repair_rejects_overflow(tmp_path):
+    # the Hermitian part of [[0, 1e308], [1e308 + 1j, 0]] has an entry 2e308 / 2
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"D": 2, "N": 1, "normalized": False,
+                                "entries": [[0, 0], [1e308, 0], [1e308, 1], [0, 0]]}))
+    with pytest.raises(MatrixFormatError, match=re.escape(
+        f"{path}: hermiticity repair overflows: entries must be finite"
+    )):
+        load_matrix(str(path), strict=False)
+
+
+def test_save_rejects_non_finite_entries(tmp_path):
+    arr = np.array([[np.inf, 0.0], [0.0, 0.5]], dtype=complex)
+    rho = DensityMatrix._adopt(2, 1, arr, False, hermitian=True)
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        matrix_json(rho)
+    path = tmp_path / "m.json"
+    path.write_text("kept")
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        save_matrix(rho, str(path))
+    assert path.read_text() == "kept"
 
 
 def test_load_memory_bound_at_1024(tmp_path):
