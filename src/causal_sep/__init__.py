@@ -7,7 +7,6 @@ from .config_calculus import (
     EnumerationBudgetError,
     count_configurations,
     enumerate_configurations,
-    is_completely_orthogonal,
     orthogonal_partners,
     partition_distinct,
 )
@@ -18,8 +17,6 @@ from .criterion import (
     ScoreVerdict,
     causal_W,
     classify,
-    ignorance_probability,
-    transition_probability,
 )
 from .density import (
     DensityMatrix,
@@ -33,7 +30,6 @@ from .density import (
     maximally_mixed,
     partial_transpose,
     save_matrix,
-    tensor_product,
 )
 from .ec_family import (
     ECClass,

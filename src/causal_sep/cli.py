@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_variant_flags(p, required=True)
     _add_dims(p)
     p.add_argument("--p", type=_parse_p, required=True, help="mixing parameter")
-    _add_output_flags(p)
+    p.add_argument("--out", default=None, help="write the matrix JSON to this file")
     p.set_defaults(func=cmd_ec_build)
 
     p = ec_sub.add_parser("threshold", help="closed-form separability thresholds")
@@ -269,8 +269,6 @@ def _params(variant: Variant, args, p: complex) -> ECParams:
 
 
 def cmd_ec_build(args) -> str:
-    if args.format != "json":
-        raise ValueError("ec build emits the matrix JSON format only")
     params = _params(_variant(args), args, args.p)
     rho = build_ec_matrix(params)
     min_eig = float(hermitian_eigenvalues(rho)[0])

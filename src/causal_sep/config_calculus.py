@@ -30,7 +30,7 @@ import numpy as np
 Configuration = tuple[int, ...]
 
 # Hard budget on D^N for anything that materializes the configuration list.
-DEFAULT_ENUMERATION_CAP = 2**20
+ENUMERATION_CAP = 2**20
 # Largest D^N of a matrix, dense or as site factors.
 DIM_CAP = 4096
 
@@ -48,26 +48,15 @@ class CouplingMode(Enum):
 # enumeration and orthogonality
 # ---------------------------------------------------------------------------
 
-def enumerate_configurations(
-    D: int, N: int, *, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[Configuration]:
+def enumerate_configurations(D: int, N: int) -> list[Configuration]:
     """All D^N configurations in lexicographic order (last party fastest)."""
     check_dims(D, N)
     total = D**N
-    if total > cap:
+    if total > ENUMERATION_CAP:
         raise EnumerationBudgetError(
-            f"enumeration of D^N = {total} configurations exceeds the cap {cap}"
+            f"enumeration of D^N = {total} configurations exceeds the cap {ENUMERATION_CAP}"
         )
     return list(itertools.product(range(D), repeat=N))
-
-
-def is_completely_orthogonal(a: Configuration, b: Configuration) -> bool:
-    """True when a and b differ in every component."""
-    if len(a) != len(b):
-        raise ValueError(
-            f"configurations have different lengths: {len(a)} vs {len(b)}"
-        )
-    return all(x != y for x, y in zip(a, b))
 
 
 def orthogonal_partners(

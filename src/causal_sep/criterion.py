@@ -217,32 +217,14 @@ def _gather(
     return p_ign, sum(terms, 0.0)
 
 
-def ignorance_probability(
-    rho: DensityMatrix, j: Configuration, mode: CouplingMode
-) -> float:
-    return float(_report(rho, _config_labels(rho, j), (), mode).P_ignorance[0])
-
-
-def transition_probability(
-    rho: DensityMatrix,
-    j: Configuration,
-    subset: PartySubset,
-    mode: CouplingMode,
-) -> float:
-    """Sum of |<j| rho^T_S |l>|^2 over the transition partners of j.
-
-    Each term pairs the (j,l) entry of the partial transpose with its
-    conjugate (l,j) entry, so the result is real and non-negative.
-    """
-    return float(_report(rho, _config_labels(rho, j), (subset,), mode).P_transition[0, 0])
-
-
 def causal_W(
     rho: DensityMatrix | KronSum,
     j: Configuration,
     subset: PartySubset,
     mode: CouplingMode,
 ) -> ConfigScore:
+    """The score at one (configuration, subset) pair; P_transition sums
+    |<j| rho^T_S |l>|^2 over the transition partners of j."""
     return _report(rho, _config_labels(rho, j), (subset,), mode).scores[0]
 
 

@@ -153,13 +153,14 @@ class DensityMatrix:
 
 
 def _max_asymmetry(arr: np.ndarray) -> float:
-    """max |M - M^dag|, taken in row blocks: no dim x dim temporary."""
+    """max |M - M^dag| in row blocks, with no dim x dim temporary; inf on overflow."""
     step = max(1, ASYMMETRY_BLOCK_BYTES // (16 * len(arr)))
     # np.max, unlike max(), keeps a NaN from any block
-    return float(np.max([
-        np.max(np.abs(arr[lo : lo + step] - arr[:, lo : lo + step].conj().T))
-        for lo in range(0, len(arr), step)
-    ]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max([
+            np.max(np.abs(arr[lo : lo + step] - arr[:, lo : lo + step].conj().T))
+            for lo in range(0, len(arr), step)
+        ]))
 
 
 def config_to_index(c: Configuration, D: int) -> int:
@@ -169,36 +170,6 @@ def config_to_index(c: Configuration, D: int) -> int:
             raise ValueError(f"label {label!r} out of range for D={D}")
         idx = idx * D + label
     return idx
-
-
-def index_to_config(idx: int, D: int, N: int) -> Configuration:
-    if not 0 <= idx < D**N:
-        raise ValueError(f"index {idx} out of range for D^N = {D**N}")
-    labels = []
-    for _ in range(N):
-        idx, r = divmod(idx, D)
-        labels.append(r)
-    return tuple(reversed(labels))
-
-
-def element(rho: DensityMatrix, row: Configuration, col: Configuration) -> complex:
-    """Entry <row| rho |col> addressed by configurations."""
-    if len(row) != rho.N or len(col) != rho.N:
-        raise ValueError(
-            f"configuration length must be N={rho.N}, got {len(row)} and {len(col)}"
-        )
-    return complex(rho.matrix[config_to_index(row, rho.D), config_to_index(col, rho.D)])
-
-
-def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    if a.D != b.D:
-        raise ValueError(f"tensor factors must share D, got {a.D} and {b.D}")
-    return DensityMatrix(
-        D=a.D,
-        N=a.N + b.N,
-        matrix=np.kron(a.matrix, b.matrix),
-        normalized=a.normalized and b.normalized,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +271,12 @@ def save_matrix(rho: DensityMatrix, path: str) -> None:
         fh.write(text)
 
 
-def load_matrix(path: str, *, strict: bool = True) -> DensityMatrix:
+def load_matrix(path: str) -> DensityMatrix:
     """Read a matrix file, enforcing the format invariants.
 
-    strict=True rejects any violation (non-Hermitian payload, wrong trace
-    under the normalized flag) with an error naming the violated invariant
-    and its magnitude.  strict=False repairs Hermiticity by (M + M^dag)/2
-    and downgrades a wrong normalized flag instead of failing.
+    Any violation (non-Hermitian payload, wrong trace under the normalized
+    flag) is rejected with an error naming the violated invariant and its
+    magnitude.
 
     Entries written as [re, im] pairs of JSON numbers are parsed straight
     into one float64 array.  Any other file goes through ``json.loads`` and
@@ -321,7 +291,7 @@ def load_matrix(path: str, *, strict: bool = True) -> DensityMatrix:
         _check_count(body.count(b"[") - 1, D**N, path)
         pairs = _parse_pairs(body)
         if pairs is not None:
-            return _from_pairs(pairs, D, N, normalized, strict, path)
+            return _from_pairs(pairs, D, N, normalized, path)
     # newlines translated as a text-mode read does, so the line and column
     # of a parse error are as json reports them for such a read
     text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
@@ -332,7 +302,9 @@ def load_matrix(path: str, *, strict: bool = True) -> DensityMatrix:
             f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
-    return payload_to_matrix(payload, strict=strict, origin=path)
+    except ValueError as exc:  # an integer beyond the int-to-string digit limit
+        raise MatrixFormatError(f"{path}: {exc}") from None
+    return payload_to_matrix(payload, origin=path)
 
 
 def _split_entries(data: bytes) -> tuple[dict, bytes] | None:
@@ -370,9 +342,7 @@ def _parse_pairs(body: bytes) -> np.ndarray | None:
     return pairs
 
 
-def payload_to_matrix(
-    payload: object, *, strict: bool = True, origin: str = "<payload>"
-) -> DensityMatrix:
+def payload_to_matrix(payload: object, *, origin: str = "<payload>") -> DensityMatrix:
     D, N, normalized = _header(payload, origin)
     dim = D**N
     entries = payload["entries"]
@@ -405,7 +375,7 @@ def payload_to_matrix(
                 finite = False
             if not finite:
                 raise MatrixFormatError(f"{origin}: entry {k} is not finite: {pair!r}")
-    return _from_pairs(pairs.reshape(-1), D, N, normalized, strict, origin)
+    return _from_pairs(pairs.reshape(-1), D, N, normalized, origin)
 
 
 def _header(payload: object, origin: str) -> tuple[int, int, bool]:
@@ -433,32 +403,21 @@ def _check_count(got: int | str, dim: int, origin: str) -> None:
         )
 
 
-def _from_pairs(
-    pairs: np.ndarray, D: int, N: int, normalized: bool, strict: bool, origin: str
-) -> DensityMatrix:
+def _from_pairs(pairs: np.ndarray, D: int, N: int, normalized: bool, origin: str) -> DensityMatrix:
     """The matrix of 2 D^2N finite floats, after the Hermiticity and trace checks."""
     dim = D**N
     arr = pairs.view(np.complex128).reshape(dim, dim)
     asym = _max_asymmetry(arr)
     if asym > HERMITICITY_TOL:
-        if strict:
-            raise MatrixFormatError(
-                f"{origin}: hermiticity invariant violated: max |M - M^dag| = {asym:.3e}"
-            )
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            arr = (arr + arr.conj().T) / 2.0
-        if not np.isfinite(arr).all():
-            raise MatrixFormatError(
-                f"{origin}: hermiticity repair overflows: entries must be finite"
-            )
+        raise MatrixFormatError(
+            f"{origin}: hermiticity invariant violated: max |M - M^dag| = {asym:.3e}"
+        )
     if normalized:
         tr = complex(np.trace(arr)) if dim else 0.0
         if abs(tr - 1.0) > TRACE_TOL:
-            if strict:
-                raise MatrixFormatError(
-                    f"{origin}: trace invariant violated: |trace - 1| = {abs(tr - 1.0):.3e}"
-                )
-            normalized = False
+            raise MatrixFormatError(
+                f"{origin}: trace invariant violated: |trace - 1| = {abs(tr - 1.0):.3e}"
+            )
     return DensityMatrix._adopt(D, N, arr, normalized, hermitian=True)
 
 

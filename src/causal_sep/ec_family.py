@@ -225,7 +225,9 @@ def closed_form_W(
     """Closed-form criterion difference W for the variant in ``params``.
 
     Class a depends only on |p| (any phase cancels between the paired
-    conjugate entries); m_j and m are accepted and ignored.  Class b needs
+    conjugate entries); m_j and m are accepted and ignored.  a-weak-coupled
+    keeps the as-printed prefactor |p|^(2N): the matrix route at j = 0...0,
+    S = {0} gives W_matrix with |p|^(2N) replaced by |p|^N, the same sign.  Class b needs
     m_j in 1..N (diagonal exponent of the probed configuration) and a
     signed m with 1 <= |m| <= N-1 (partner offset); the two-term expanded
     form is used so the p = 0, 1 endpoints stay finite wherever the

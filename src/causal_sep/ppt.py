@@ -5,7 +5,9 @@ any split; positivity certifies separability only where PPT is sufficient
 (2x2, i.e. D=2 N=2, and the 2x3 case which cannot arise here with equal
 local dimensions).  The verdict names keep that one-sidedness explicit:
 PPT_SEPARABLE_CONSISTENT is a consistency statement, not a proof, except
-where ``conclusive`` is set.
+where ``conclusive`` is set, which holds only for a PSD state.  On the EC
+family a partial transpose keeps rho's spectrum (for real p it is rho
+itself), so there NPT means that rho has a negative eigenvalue.
 
 References: A. Peres, Phys. Rev. Lett. 77, 1413 (1996); M., P. and
 R. Horodecki, Phys. Lett. A 223, 1 (1996).

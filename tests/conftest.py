@@ -1,6 +1,6 @@
 import numpy as np
 
-from causal_sep.density import DensityMatrix
+from causal_sep.density import DensityMatrix, config_to_index
 
 
 def random_hermitian(D, N, rng, scale=1.0):
@@ -25,3 +25,19 @@ def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def element(rho, row, col):
+    """Entry <row| rho |col> addressed by configurations."""
+    if len(row) != rho.N or len(col) != rho.N:
+        raise ValueError(
+            f"configuration length must be N={rho.N}, got {len(row)} and {len(col)}"
+        )
+    return complex(rho.matrix[config_to_index(row, rho.D), config_to_index(col, rho.D)])
+
+
+def is_completely_orthogonal(a, b):
+    """True when configurations a and b differ in every component."""
+    if len(a) != len(b):
+        raise ValueError(f"configurations have different lengths: {len(a)} vs {len(b)}")
+    return all(x != y for x, y in zip(a, b))

@@ -21,7 +21,6 @@ from causal_sep.criterion import (
     OverallVerdict,
     causal_W,
     classify,
-    ignorance_probability,
 )
 from causal_sep.density import (
     PartySubset,

@@ -5,6 +5,7 @@ import math
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -385,16 +386,19 @@ def test_build_rejects_nan_mixing_parameter(capsys):
 
 
 def test_build_rejects_csv(capsys):
-    code, _, err = run_cli(
-        [
-            "ec", "build", "--class", "a", "--mixing", "weak",
-            "--coupling", "free", "--D", "2", "--N", "2", "--p", "0.5",
-            "--format", "csv",
-        ],
-        capsys,
-    )
-    assert code == 1
-    assert "JSON" in err
+    # ec build writes matrix JSON only and takes no --format flag
+    for fmt in ("csv", "json"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                [
+                    "ec", "build", "--class", "a", "--mixing", "weak",
+                    "--coupling", "free", "--D", "2", "--N", "2", "--p", "0.5",
+                    "--format", fmt,
+                ],
+                capsys,
+            )
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: --format {fmt}" in capsys.readouterr().err
 
 
 def test_build_classify_round_trip(tmp_path, capsys):
@@ -598,6 +602,29 @@ def test_classify_huge_integer_entry(tmp_path, capsys):
     assert out == ""
     assert err.startswith(f"error: {path}: entry 0 is not finite: [1000")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["classify", "ppt"])
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("1" + "0" * 5000, "Exceeds the limit (4300 digits) for integer string conversion"),
+        ("1e308", "hermiticity invariant violated: max |M - M^dag| = inf"),
+    ],
+    ids=["long-integer", "overflowing-asymmetry"],
+)
+def test_unreadable_entries_exit_2_naming_the_file(tmp_path, capsys, command, entry, message):
+    path = tmp_path / "m.json"
+    path.write_text(
+        '{"D":2,"N":1,"normalized":false,"entries":'
+        f'[[{entry},0],[1e308,0],[-1e308,0],[1e308,0]]}}'
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli([command, "--input", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path}: {message}")
 
 
 def test_classify_over_dimension_cap_file(tmp_path, capsys):

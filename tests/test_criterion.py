@@ -12,8 +12,6 @@ from causal_sep.criterion import (
     ScoreVerdict,
     causal_W,
     classify,
-    ignorance_probability,
-    transition_probability,
 )
 from causal_sep.density import (
     DensityMatrix,
@@ -33,26 +31,26 @@ S1 = PartySubset((1,), 2)
 
 def test_ignorance_examples():
     mm = maximally_mixed(2, 2)
-    assert ignorance_probability(mm, (0, 0), FREE) == 0.0625
-    assert ignorance_probability(basis_state((0, 0), 2), (0, 0), FREE) == 0.0
+    assert causal_W(mm, (0, 0), S0, FREE).P_ignorance == 0.0625
+    assert causal_W(basis_state((0, 0), 2), (0, 0), S0, FREE).P_ignorance == 0.0
     # free mode sums all completely orthogonal partners
     mm3 = maximally_mixed(3, 2)
-    assert ignorance_probability(mm3, (0, 0), FREE) == pytest.approx(4 / 81)
-    assert ignorance_probability(mm3, (0, 0), COUPLED) == pytest.approx(2 / 81)
+    assert causal_W(mm3, (0, 0), S0, FREE).P_ignorance == pytest.approx(4 / 81)
+    assert causal_W(mm3, (0, 0), S0, COUPLED).P_ignorance == pytest.approx(2 / 81)
 
 
 def test_transition_examples():
-    assert transition_probability(maximally_mixed(2, 2), (0, 0), S1, FREE) == 0.0
-    assert transition_probability(bell_state("psi+"), (0, 0), S1, FREE) == 0.25
+    assert causal_W(maximally_mixed(2, 2), (0, 0), S1, FREE).P_transition == 0.0
+    assert causal_W(bell_state("psi+"), (0, 0), S1, FREE).P_transition == 0.25
     ec = build_ec_matrix(ECParams(ECClass.A, Mixing.WEAK, FREE, D=2, N=2, p=0.5))
-    assert transition_probability(ec, (0, 0), S1, FREE) == 0.0625
+    assert causal_W(ec, (0, 0), S1, FREE).P_transition == 0.0625
 
 
 def test_transition_nonnegative_random():
     rng = np.random.default_rng(23)
     for _ in range(20):
         rho = random_hermitian(2, 2, rng)
-        assert transition_probability(rho, (0, 1), S0, FREE) >= 0.0
+        assert causal_W(rho, (0, 1), S0, FREE).P_transition >= 0.0
 
 
 def test_bell_psi_plus_score():
@@ -179,20 +177,11 @@ def test_coupled_mode_swaps_partner_families():
 
 
 @pytest.mark.parametrize("label", [-1, 2, 1.0])
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda rho, j: causal_W(rho, j, S0, FREE),
-        lambda rho, j: transition_probability(rho, j, S0, FREE),
-        lambda rho, j: ignorance_probability(rho, j, FREE),
-    ],
-    ids=["causal_W", "transition_probability", "ignorance_probability"],
-)
-def test_bad_labels_rejected_before_the_gather(call, label):
+def test_bad_labels_rejected_before_the_gather(label):
     # numpy would wrap -1 and index past D silently; the label check runs first
     message = re.escape(f"label {label!r} out of range for D=2")
     with pytest.raises(ValueError, match=message):
-        call(maximally_mixed(2, 2), (0, label))
+        causal_W(maximally_mixed(2, 2), (0, label), S0, FREE)
 
 
 def test_classify_two_qubit_ten_parties_memory_bound():

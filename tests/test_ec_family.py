@@ -212,6 +212,16 @@ def test_closed_form_a_coupled_values():
     ) == pytest.approx(expected_s, abs=1e-15)
 
 
+@pytest.mark.parametrize("D, N", [(2, 2), (3, 3), (5, 4), (2, 8)])
+def test_closed_form_a_weak_coupled_is_p_to_the_N_times_the_matrix_route(D, N):
+    # the as-printed prefactor p^2N has one p^N more than the matrix route
+    s0 = PartySubset((0,), N)
+    for p in np.linspace(0.0, 1.0, 101)[1:-1]:
+        ps = params(coupling=COUPLED, D=D, N=N, p=float(p))
+        w_matrix = causal_W(ec_operator(ps), (0,) * N, s0, COUPLED).W
+        assert p**N * w_matrix == pytest.approx(closed_form_W(ps), rel=1e-12, abs=0.0), p
+
+
 def test_closed_form_b_needs_m():
     with pytest.raises(ValueError, match="m_j"):
         closed_form_W(params(ec_class=B, p=0.3))

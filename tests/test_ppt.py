@@ -6,11 +6,12 @@ from causal_sep.density import (
     DensityMatrix,
     PartySubset,
     bell_state,
+    canonical_subsets,
     hermitian_eigenvalues,
     maximally_mixed,
     partial_transpose,
 )
-from causal_sep.ec_family import ECClass, ECParams, Mixing, build_ec_matrix
+from causal_sep.ec_family import ECClass, ECParams, Mixing, all_variants, build_ec_matrix
 from causal_sep.ppt import (
     PptOutcome,
     any_npt,
@@ -110,3 +111,14 @@ def test_min_eigenvalue_sign_scale_invariant():
         assert _sign(eigs[0]) == _sign(
             hermitian_eigenvalues(partial_transpose(rho, S1))[0]
         )
+
+
+@pytest.mark.parametrize("D, N", [(2, 3), (3, 2), (2, 4)])
+@pytest.mark.parametrize("variant", all_variants(), ids=lambda v: "-".join(x.value for x in v))
+def test_ec_partial_transpose_is_rho_for_real_p(D, N, variant):
+    # real symmetric site factors: on the EC family the PPT oracle tests
+    # the spectrum of rho itself, so NPT there means rho is not PSD
+    for p in np.linspace(0.0, 1.0, 11):
+        rho = build_ec_matrix(ECParams(*variant, D=D, N=N, p=float(p)))
+        for s in canonical_subsets(N):
+            assert partial_transpose(rho, s).matrix.tobytes() == rho.matrix.tobytes(), (p, s)

@@ -12,11 +12,10 @@ from causal_sep.config_calculus import (
     CouplingMode,
     count_configurations,
     enumerate_configurations,
-    is_completely_orthogonal,
     orthogonal_partners,
     partition_distinct,
 )
-from causal_sep.criterion import causal_W, classify, transition_probability
+from causal_sep.criterion import causal_W, classify
 from causal_sep.ec_family import ECClass, ECParams, all_variants, build_ec_matrix, ec_operator
 from causal_sep.density import (
     PartySubset,
@@ -30,7 +29,7 @@ from causal_sep.density import (
     transpose_parties,
 )
 
-from conftest import random_hermitian, random_state
+from conftest import is_completely_orthogonal, random_hermitian, random_state
 
 FREE = CouplingMode.N_FREE
 COUPLED = CouplingMode.N_COUPLED
@@ -185,7 +184,6 @@ def test_probabilities_nonnegative_on_states(dims, seed, mask, mode):
     score = causal_W(rho, j, s, mode)
     assert score.P_ignorance >= 0.0
     assert score.P_transition >= 0.0
-    assert transition_probability(rho, j, s, mode) == score.P_transition
 
 
 @settings(deadline=None, max_examples=50)
