@@ -41,7 +41,7 @@ from .ec_family import (
     threshold,
     variant_name,
 )
-from .ppt import any_npt, ppt_check, ppt_report
+from .ppt import PPT_TOL, any_npt, ppt_check, ppt_report
 
 SCHEMA = "causal-sep/1"
 
@@ -85,6 +85,23 @@ def _csv_payload(
     if report is not None:
         buf.writelines(_score_lines(report, ";", _CSV_SCORE_FIELDS))
     return buf.getvalue()
+
+
+def _row_payload(args, command: str, header: list[str], row: list, **extra) -> str:
+    """One row as CSV under ``header``, or as JSON: the schema tag, the
+    command, the row's fields, then ``extra``."""
+    if args.format == "csv":
+        return _csv_payload(header, [row])
+    return _json_payload({"schema": SCHEMA, "command": command, **dict(zip(header, row)), **extra})
+
+
+def _rows_payload(args, command: str, header: list[str], rows: list[list], **head) -> str:
+    """Rows as CSV under ``header``, or as JSON: the schema tag, the
+    command, ``head``, then the rows as objects."""
+    if args.format == "csv":
+        return _csv_payload(header, rows)
+    objects = [dict(zip(header, row)) for row in rows]
+    return _json_payload({"schema": SCHEMA, "command": command, **head, "rows": objects})
 
 
 # Text around the six cells of a score (config, subset, P_ignorance,
@@ -234,27 +251,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_config_count(args) -> str:
     census = count_configurations(args.D, args.N, CouplingMode(args.coupling))
-    if args.format == "csv":
-        return _csv_payload(
-            ["D", "N", "coupling", "K", "K_bar"],
-            [[census.D, census.N, args.coupling, census.K, census.K_bar]],
-        )
-    payload = {
-        "schema": SCHEMA,
-        "command": "config-count",
-        "D": census.D,
-        "N": census.N,
-        "coupling": args.coupling,
-        "K": census.K,
-        "K_bar": census.K_bar,
-    }
-    # For D > 2 the greedy pick can disagree with the ceiling count; report
-    # both rather than hiding it.
+    # For D > 2 the greedy pick can disagree with the ceiling count; the JSON
+    # reports both rather than hiding it.
+    extra = {}
     if args.coupling == "free" and args.D > 2:
         greedy = greedy_distinct_count(args.D, args.N)
-        payload["greedy_distinct"] = greedy
-        payload["greedy_matches_K"] = greedy == census.K
-    return _json_payload(payload)
+        extra = {"greedy_distinct": greedy, "greedy_matches_K": greedy == census.K}
+    return _row_payload(
+        args, "config-count", ["D", "N", "coupling", "K", "K_bar"],
+        [census.D, census.N, args.coupling, census.K, census.K_bar], **extra,
+    )
 
 
 Variant = tuple[ECClass, Mixing, CouplingMode]
@@ -269,12 +275,13 @@ def _params(variant: Variant, args, p: complex) -> ECParams:
 
 
 def cmd_ec_build(args) -> str:
-    params = _params(_variant(args), args, args.p)
+    variant = _variant(args)
+    params = _params(variant, args, args.p)
     rho = build_ec_matrix(params)
     min_eig = float(hermitian_eigenvalues(rho)[0])
-    psd = min_eig >= -1e-10
+    psd = min_eig >= -PPT_TOL
     print(
-        f"note: {params.variant_key()} D={params.D} N={params.N} p={args.p!r}: "
+        f"note: {variant_name(*variant)} D={params.D} N={params.N} p={args.p!r}: "
         f"trace = {rho.trace()!r}, normalized = {rho.normalized}, "
         f"min eigenvalue = {min_eig!r} ({'PSD' if psd else 'not PSD'})",
         file=sys.stderr,
@@ -384,18 +391,7 @@ def cmd_ec_sweep(args) -> str:
             [name, args.D, args.N, p, w_closed, w_matrix, th.p_th1, th.p_th2, verdict.value]
         )
     header = ["variant", "D", "N", "p", "W_closed", "W_matrix", "p_th1", "p_th2", "verdict"]
-    if args.format == "csv":
-        return _csv_payload(header, rows)
-    return _json_payload(
-        {
-            "schema": SCHEMA,
-            "command": "ec-sweep",
-            "variant": name,
-            "D": args.D,
-            "N": args.N,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-    )
+    return _rows_payload(args, "ec-sweep", header, rows, variant=name, D=args.D, N=args.N)
 
 
 def cmd_classify(args) -> str:
@@ -467,44 +463,19 @@ def cmd_compare(args) -> str:
             disagreements += 1
         rows.append([name, args.D, args.N, p, causal.value, ppt_side, agree])
     header = ["variant", "D", "N", "p", "causal", "ppt", "agree"]
-    if args.format == "csv":
-        return _csv_payload(header, rows)
-    return _json_payload(
-        {
-            "schema": SCHEMA,
-            "command": "compare",
-            "variant": name,
-            "D": args.D,
-            "N": args.N,
-            "disagreements": disagreements,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
+    return _rows_payload(
+        args, "compare", header, rows,
+        variant=name, D=args.D, N=args.N, disagreements=disagreements,
     )
 
 
 def cmd_duality(args) -> str:
     r_a, r_b = duality_residuals(args.D, args.N)
-    if args.format == "csv":
-        return _csv_payload(["D", "N", "r_a", "r_b"], [[args.D, args.N, r_a, r_b]])
-    return _json_payload(
-        {
-            "schema": SCHEMA,
-            "command": "duality",
-            "D": args.D,
-            "N": args.N,
-            "r_a": r_a,
-            "r_b": r_b,
-        }
-    )
+    return _row_payload(args, "duality", ["D", "N", "r_a", "r_b"], [args.D, args.N, r_a, r_b])
 
 
 def cmd_crossover(args) -> str:
-    n_cr = crossover_N(args.D)
-    if args.format == "csv":
-        return _csv_payload(["D", "N_cr"], [[args.D, n_cr]])
-    return _json_payload(
-        {"schema": SCHEMA, "command": "crossover", "D": args.D, "N_cr": n_cr}
-    )
+    return _row_payload(args, "crossover", ["D", "N_cr"], [args.D, crossover_N(args.D)])
 
 
 # ---------------------------------------------------------------------------

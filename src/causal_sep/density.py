@@ -27,7 +27,6 @@ from .config_calculus import Configuration, check_dims
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
-EIGENSOLVER_HERMITICITY_TOL = 1e-10
 # Byte budget of one row block of the Hermiticity check
 ASYMMETRY_BLOCK_BYTES = 4 * 2**20
 
@@ -87,8 +86,10 @@ def canonical_subsets(N: int) -> list[PartySubset]:
 class DensityMatrix:
     """Hermitian matrix on (C^D)^{tensor N} with an explicit normalization flag.
 
-    Hermiticity within 1e-12 is enforced at construction; unit trace is
-    enforced only when ``normalized`` is True.  Positive semidefiniteness is
+    ``_seal`` alone checks the invariants, for every constructor and the file
+    loader: finite entries, Hermiticity within 1e-12, and unit trace when
+    ``normalized`` is True.  The matrix is read-only after, and the matrices
+    derived from it stay Hermitian exactly.  Positive semidefiniteness is
     checkable via ``hermitian_eigenvalues`` but deliberately NOT an
     invariant: model matrices are allowed to leave the PSD cone, and that
     violation is part of what the oracles measure.
@@ -130,13 +131,12 @@ class DensityMatrix:
         if not asym <= HERMITICITY_TOL:
             if not np.isfinite(arr).all():
                 raise ValueError("matrix entries must be finite")
-            raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {asym:.3e}")
+            raise ValueError(f"hermiticity invariant violated: max |M - M^dag| = {asym:.3e}")
         if self.normalized:
-            tr = complex(np.trace(arr))
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow reads inf or nan
+                tr = complex(np.trace(arr))
             if not abs(tr - 1.0) <= TRACE_TOL:
-                raise ValueError(
-                    f"normalized flag set but |trace - 1| = {abs(tr - 1.0):.3e}"
-                )
+                raise ValueError(f"trace invariant violated: |trace - 1| = {abs(tr - 1.0):.3e}")
         arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
@@ -206,16 +206,8 @@ def partial_transpose(rho: DensityMatrix, subset: PartySubset) -> DensityMatrix:
 
 
 def hermitian_eigenvalues(rho: DensityMatrix) -> np.ndarray:
-    """Ascending real spectrum (LAPACK symmetric solver).
-
-    Input must be Hermitian within 1e-10; the eigenvalue sum matches the
-    trace to the same tolerance.
-    """
-    asym = _max_asymmetry(rho.matrix)
-    if not asym <= EIGENSOLVER_HERMITICITY_TOL:
-        raise ValueError(
-            f"eigensolver requires a Hermitian matrix: max |M - M^dag| = {asym:.3e}"
-        )
+    """Ascending real spectrum (LAPACK symmetric solver), with no check of its
+    own: ``DensityMatrix._seal`` checked Hermiticity, which derived matrices keep."""
     return np.linalg.eigvalsh(rho.matrix)
 
 
@@ -275,8 +267,8 @@ def load_matrix(path: str) -> DensityMatrix:
     """Read a matrix file, enforcing the format invariants.
 
     Any violation (non-Hermitian payload, wrong trace under the normalized
-    flag) is rejected with an error naming the violated invariant and its
-    magnitude.
+    flag) is rejected in ``DensityMatrix``'s words, after the path: the
+    violated invariant and its magnitude.
 
     Entries written as [re, im] pairs of JSON numbers are parsed straight
     into one float64 array.  Any other file goes through ``json.loads`` and
@@ -292,17 +284,16 @@ def load_matrix(path: str) -> DensityMatrix:
         pairs = _parse_pairs(body)
         if pairs is not None:
             return _from_pairs(pairs, D, N, normalized, path)
-    # newlines translated as a text-mode read does, so the line and column
-    # of a parse error are as json reports them for such a read
-    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
     try:
-        payload = json.loads(text)
+        # newlines translated as a text-mode read does, so the line and
+        # column of a parse error are as json reports them for such a read
+        payload = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except json.JSONDecodeError as exc:
         raise MatrixFormatError(
             f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
-    except ValueError as exc:  # an integer beyond the int-to-string digit limit
+    except ValueError as exc:  # not UTF-8, or an integer past the str digit limit
         raise MatrixFormatError(f"{path}: {exc}") from None
     return payload_to_matrix(payload, origin=path)
 
@@ -404,21 +395,12 @@ def _check_count(got: int | str, dim: int, origin: str) -> None:
 
 
 def _from_pairs(pairs: np.ndarray, D: int, N: int, normalized: bool, origin: str) -> DensityMatrix:
-    """The matrix of 2 D^2N finite floats, after the Hermiticity and trace checks."""
-    dim = D**N
-    arr = pairs.view(np.complex128).reshape(dim, dim)
-    asym = _max_asymmetry(arr)
-    if asym > HERMITICITY_TOL:
-        raise MatrixFormatError(
-            f"{origin}: hermiticity invariant violated: max |M - M^dag| = {asym:.3e}"
-        )
-    if normalized:
-        tr = complex(np.trace(arr)) if dim else 0.0
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise MatrixFormatError(
-                f"{origin}: trace invariant violated: |trace - 1| = {abs(tr - 1.0):.3e}"
-            )
-    return DensityMatrix._adopt(D, N, arr, normalized, hermitian=True)
+    """The matrix of 2 D^2N finite floats; ``_seal``'s errors name ``origin``."""
+    arr = pairs.view(np.complex128).reshape(D**N, D**N)
+    try:
+        return DensityMatrix._adopt(D, N, arr, normalized)
+    except ValueError as exc:
+        raise MatrixFormatError(f"{origin}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,7 @@ from functools import reduce
 import numpy as np
 
 from .config_calculus import CouplingMode, check_dims
-from .density import DensityMatrix
+from .density import TRACE_TOL, DensityMatrix
 
 
 class ECClass(Enum):
@@ -118,9 +118,6 @@ class ECParams:
     @property
     def p_real(self) -> float:
         return float(self.p.real)
-
-    def variant_key(self) -> str:
-        return variant_name(self.ec_class, self.mixing, self.coupling)
 
 
 def variant_name(ec_class: ECClass, mixing: Mixing, coupling: CouplingMode) -> str:
@@ -212,7 +209,7 @@ def build_ec_matrix(params: ECParams) -> DensityMatrix:
     matrix = reduce(np.kron, op.diag_sites)
     matrix += reduce(np.kron, op.off_sites)
     trace = float(np.trace(matrix).real)
-    return DensityMatrix._adopt(op.D, op.N, matrix, abs(trace - 1.0) <= 1e-12)
+    return DensityMatrix._adopt(op.D, op.N, matrix, abs(trace - 1.0) <= TRACE_TOL)
 
 
 # ---------------------------------------------------------------------------

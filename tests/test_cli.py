@@ -604,21 +604,35 @@ def test_classify_huge_integer_entry(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["classify", "ppt"])
-@pytest.mark.parametrize(
-    "entry, message",
-    [
-        ("1" + "0" * 5000, "Exceeds the limit (4300 digits) for integer string conversion"),
-        ("1e308", "hermiticity invariant violated: max |M - M^dag| = inf"),
-    ],
-    ids=["long-integer", "overflowing-asymmetry"],
-)
-def test_unreadable_entries_exit_2_naming_the_file(tmp_path, capsys, command, entry, message):
-    path = tmp_path / "m.json"
-    path.write_text(
+def _overflowing_entries(entry: str) -> bytes:
+    return (
         '{"D":2,"N":1,"normalized":false,"entries":'
         f'[[{entry},0],[1e308,0],[-1e308,0],[1e308,0]]}}'
-    )
+    ).encode()
+
+
+@pytest.mark.parametrize("command", ["classify", "ppt"])
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (
+            _overflowing_entries("1" + "0" * 5000),
+            "Exceeds the limit (4300 digits) for integer string conversion",
+        ),
+        (
+            _overflowing_entries("1e308"),
+            "hermiticity invariant violated: max |M - M^dag| = inf",
+        ),
+        (
+            b'{"D":2,"N":1,"normalized":true,"x":"\xff","entries":[[0.5,0],[0,0],[0,0],[0.5,0]]}',
+            "'utf-8' codec can't decode byte 0xff in position 36: invalid start byte",
+        ),
+    ],
+    ids=["long-integer", "overflowing-asymmetry", "not-utf-8"],
+)
+def test_unreadable_entries_exit_2_naming_the_file(tmp_path, capsys, command, data, message):
+    path = tmp_path / "m.json"
+    path.write_bytes(data)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli([command, "--input", str(path)], capsys)

@@ -26,7 +26,7 @@ from causal_sep.density import (
     save_matrix,
     transpose_parties,
 )
-from causal_sep.ec_family import ECClass, ECParams, Mixing, build_ec_matrix
+from causal_sep.ec_family import ECClass, ECParams, Mixing, all_variants, build_ec_matrix
 from causal_sep.config_calculus import CouplingMode, enumerate_configurations
 
 
@@ -46,7 +46,7 @@ def test_index_validation():
 
 def test_construction_checks_hermiticity():
     bad = np.array([[0.5, 0.3], [0.2, 0.5]])
-    with pytest.raises(ValueError, match="Hermitian"):
+    with pytest.raises(ValueError, match="hermiticity invariant violated"):
         DensityMatrix(D=2, N=1, matrix=bad, normalized=True)
     # the error names the size of the violation
     with pytest.raises(ValueError, match="1.000e-01"):
@@ -161,22 +161,21 @@ def test_eigenvalues_ascending_and_sum_to_trace():
     assert float(np.sum(eigs)) == pytest.approx(rho.trace(), abs=1e-10)
 
 
-def test_eigenvalues_reject_non_hermitian():
-    # the constructor already rejects asymmetry, so smuggle it in raw
-    tweaked = maximally_mixed(2, 2).matrix.copy()
-    tweaked[0, 1] += 1e-6
-    with pytest.raises(ValueError, match="Hermitian"):
-        hermitian_eigenvalues(_raw(tweaked))
-
-
-def _raw(arr):
-    """DensityMatrix carrying arr without construction checks (test hook)."""
-    obj = DensityMatrix.__new__(DensityMatrix)
-    object.__setattr__(obj, "D", 2)
-    object.__setattr__(obj, "N", 2)
-    object.__setattr__(obj, "matrix", arr)
-    object.__setattr__(obj, "normalized", False)
-    return obj
+@pytest.mark.parametrize("D, N", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3), (2, 5)])
+def test_derived_matrices_stay_hermitian_exactly(D, N):
+    # why hermitian_eigenvalues needs no check of its own: every matrix the
+    # package derives is as Hermitian as the matrix it came from
+    for variant in all_variants():
+        for p in (0.3, 0.8) if variant[0] is ECClass.B else (0.3, 0.8, 0.3 + 0.4j):
+            ec = build_ec_matrix(ECParams(*variant, D=D, N=N, p=p))
+            assert density._max_asymmetry(ec.matrix) == 0.0
+    rng = np.random.default_rng(D * 10 + N)
+    arr = random_hermitian(D, N, rng).matrix + 2e-13 * rng.uniform(-1, 1, size=(D**N, D**N))
+    rho = DensityMatrix(D, N, arr, normalized=False)
+    asym = density._max_asymmetry(rho.matrix)
+    assert 1e-13 < asym <= density.HERMITICITY_TOL
+    for S in canonical_subsets(N):
+        assert density._max_asymmetry(partial_transpose(rho, S).matrix) == asym
 
 
 def test_save_load_round_trip(tmp_path):
@@ -267,7 +266,7 @@ def test_internal_constructor_adopts_the_array():
     assert rho.matrix is arr and not arr.flags.writeable
     # the public constructor copies
     assert not np.shares_memory(DensityMatrix(2, 1, rho.matrix).matrix, arr)
-    with pytest.raises(ValueError, match="Hermitian"):
+    with pytest.raises(ValueError, match="hermiticity invariant violated"):
         DensityMatrix._adopt(2, 1, np.array([[0.5, 0.3], [0.2, 0.5]], complex), True)
     with pytest.raises(ValueError, match="trace"):
         DensityMatrix._adopt(2, 1, np.eye(2, dtype=complex), True, hermitian=True)
@@ -453,6 +452,30 @@ def test_load_error_messages(tmp_path):
         load_matrix(str(path))
 
 
+def test_load_names_invariants_as_the_constructor_does(tmp_path):
+    path = tmp_path / "m.json"
+    non_hermitian = np.array([[0.5, 0.3], [0.2, 0.5]], dtype=complex)
+    wrong_trace = np.diag([0.9, 0.3]).astype(complex)
+    for arr in (non_hermitian, wrong_trace):
+        entries = arr.view(np.float64).reshape(-1, 2).tolist()
+        path.write_text(json.dumps({"D": 2, "N": 1, "normalized": True, "entries": entries}))
+        with pytest.raises(ValueError) as built:
+            DensityMatrix(2, 1, arr)
+        with pytest.raises(MatrixFormatError) as loaded:
+            load_matrix(str(path))
+        assert str(loaded.value) == f"{path}: " + str(built.value)
+
+
+def test_load_non_utf8_file(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"D":2,"N":1,"normalized":true,"x":"\xff",'
+                     b'"entries":[[0.5,0],[0,0],[0,0],[0.5,0]]}')
+    with pytest.raises(MatrixFormatError, match=re.escape(
+        f"{path}: 'utf-8' codec can't decode byte 0xff in position 36"
+    )):
+        load_matrix(str(path))
+
+
 def test_load_integer_beyond_the_digit_limit(tmp_path):
     # json.loads refuses to convert an integer token of more digits than
     # sys.get_int_max_str_digits() (4300 by default)
@@ -470,6 +493,22 @@ def test_load_overflowing_asymmetry_is_rejected_without_a_warning(tmp_path):
         warnings.simplefilter("error")
         with pytest.raises(MatrixFormatError, match=re.escape(
             f"{path}: hermiticity invariant violated: max |M - M^dag| = inf"
+        )):
+            load_matrix(str(path))
+
+
+@pytest.mark.parametrize("diagonal", [[1e308, 1e308], [1e308, 1e308, -1e308, -1e308]])
+def test_load_overflowing_trace_is_rejected_without_a_warning(tmp_path, diagonal):
+    # finite entries whose trace overflows to inf, or (summed pairwise) to nan
+    dim = len(diagonal)
+    entries = [[diagonal[k // (dim + 1)], 0] if k % (dim + 1) == 0 else [0, 0]
+               for k in range(dim * dim)]
+    path = tmp_path / "big-trace.json"
+    path.write_text(json.dumps({"D": dim, "N": 1, "normalized": True, "entries": entries}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MatrixFormatError, match=re.escape(
+            f"{path}: trace invariant violated: |trace - 1| = "
         )):
             load_matrix(str(path))
 
