@@ -44,6 +44,7 @@ from .ec_family import (
     closed_form_W,
     crossover_N,
     duality_residuals,
+    ec_min_eigenvalue,
     ec_operator,
     renormalized_threshold,
     threshold,

@@ -17,13 +17,17 @@ from itertools import chain, cycle, repeat
 
 import numpy as np
 
-from .config_calculus import CouplingMode, count_configurations, greedy_distinct_count
+from .config_calculus import (
+    ENUMERATION_CAP,
+    CouplingMode,
+    count_configurations,
+    greedy_distinct_count,
+)
 from .criterion import CriterionReport, OverallVerdict, ScoreVerdict, causal_W, classify
 from .density import (
     DensityMatrix,
     MatrixFormatError,
     PartySubset,
-    hermitian_eigenvalues,
     load_matrix,
     matrix_json,
 )
@@ -37,6 +41,7 @@ from .ec_family import (
     closed_form_W,
     crossover_N,
     duality_residuals,
+    ec_min_eigenvalue,
     ec_operator,
     threshold,
     variant_name,
@@ -278,7 +283,7 @@ def cmd_ec_build(args) -> str:
     variant = _variant(args)
     params = _params(variant, args, args.p)
     rho = build_ec_matrix(params)
-    min_eig = float(hermitian_eigenvalues(rho)[0])
+    min_eig = ec_min_eigenvalue(params)
     psd = min_eig >= -PPT_TOL
     print(
         f"note: {variant_name(*variant)} D={params.D} N={params.N} p={args.p!r}: "
@@ -349,6 +354,8 @@ def cmd_ec_threshold(args) -> str:
 def _grid(args) -> list[float]:
     if args.steps < 0:
         raise ValueError(f"--steps must be non-negative, got {args.steps}")
+    if args.steps > ENUMERATION_CAP:
+        raise ValueError(f"--steps {args.steps} exceeds the grid limit {ENUMERATION_CAP}")
     if args.steps == 0:
         return []
     return [float(p) for p in np.linspace(args.p_start, args.p_end, args.steps)]
@@ -445,18 +452,18 @@ def cmd_compare(args) -> str:
     for p in _grid(args):
         params = _params(variant, args, complex(p))
         rho = build_ec_matrix(params)
-        if rho.normalized:
-            rho_n = rho
-        else:
-            tr = rho.trace()
+        tr = rho.trace()
+        if not rho.normalized:
             if tr <= 1e-300:
                 raise ValueError(
                     f"matrix trace vanishes at p={p!r}; shrink the p range"
                 )
             # dividing by a real scalar keeps the matrix exactly Hermitian
-            rho_n = DensityMatrix._adopt(rho.D, rho.N, rho.matrix / tr, True, hermitian=True)
-        causal = classify(rho_n, mode).overall
-        npt = any_npt(ppt_report(rho_n))
+            rho = DensityMatrix._adopt(rho.D, rho.N, rho.matrix / tr, True, hermitian=True)
+        causal = classify(rho, mode).overall
+        # a partial transpose keeps an EC matrix's spectrum, so every cut is
+        # NPT exactly when the normalized matrix has a negative eigenvalue
+        npt = ec_min_eigenvalue(params) / tr < -PPT_TOL
         ppt_side = "npt_entangled" if npt else "ppt_separable_consistent"
         agree = (causal is OverallVerdict.ENTANGLED) == npt
         if not agree:

@@ -30,6 +30,16 @@ trace.  Neither class is guaranteed positive semidefinite at large p;
 that violation is part of what the oracles measure, and every sign-of-W
 conclusion is invariant under positive rescaling.
 
+The class-b matrix is F * (Dhat (x) ... (x) Dhat + Ohat_1 (x) ... (x) Ohat_N)
+with F = prod_n f_n and p-free site factors Dhat = Dsite_n / f_n,
+Ohat_n = Osite_n / f_n.  So rho / trace is the same matrix for every p in
+(0, 1): the sign of W_matrix, both ``compare`` verdicts and the minimum
+eigenvalue over the trace are constant in p, and no class-b matrix probe
+can reproduce the closed-form window, which varies with p.
+
+``ec_min_eigenvalue`` reads the smallest eigenvalue off the site factors
+in closed form; it also decides the PPT test on every cut.
+
 Threshold formula map (x = D-1, stable logistic 1/(1 + x**g)):
 
   class a (single threshold in |p|):
@@ -210,6 +220,37 @@ def build_ec_matrix(params: ECParams) -> DensityMatrix:
     matrix += reduce(np.kron, op.off_sites)
     trace = float(np.trace(matrix).real)
     return DensityMatrix._adopt(op.D, op.N, matrix, abs(trace - 1.0) <= TRACE_TOL)
+
+
+def ec_min_eigenvalue(params: ECParams) -> float:
+    """Smallest eigenvalue of the EC matrix in ``params``, in O(N).
+
+    Per site, take the basis {|0>, |u> = sum_{k>=1} |k>/sqrt(D-1), D-2
+    vectors orthogonal to both}.  There Dsite is diag(d0, du, du, ...) and
+    Osite maps |0> <-> |u> with modulus c = |Osite[1,0]| sqrt(D-1) and kills
+    the rest.  So every 0/u string s pairs with its complement sbar in a
+    2x2 block [[d_s, z*], [z, d_sbar]], |z| = prod_n c_n, whose eigenvalues
+    are (d_s + d_sbar)/2 +- hypot((d_s - d_sbar)/2, |z|); d_s is the product
+    of d0 over the 0-sites and du over the u-sites of s.  A string with an
+    orthogonal site is an eigenvector of eigenvalue d_s for the 0/u string s
+    that puts u there, which its block's lower eigenvalue never exceeds.
+
+    For both classes d_s depends only on the number k of u-sites, so the
+    string with u on the first k sites stands for every block of that k.
+    The partial transpose over any parties only conjugates the phases of z,
+    so this is also the minimum partial-transpose eigenvalue on every cut.
+    """
+    op = ec_operator(params)
+    d0 = op.diag_sites[:, 0, 0].real
+    du = op.diag_sites[:, 1, 1].real
+    z = np.prod(np.abs(op.off_sites[:, 1, 0]) * math.sqrt(op.D - 1))
+    one = np.ones(1)
+    # products over the first k sites and over the last N-k, for k = 0..N
+    head_0, head_u = (np.concatenate([one, np.cumprod(d)]) for d in (d0, du))
+    tail_0, tail_u = (np.concatenate([np.cumprod(d[::-1])[::-1], one]) for d in (d0, du))
+    d_s = head_u * tail_0
+    d_sbar = head_0 * tail_u
+    return float(np.min((d_s + d_sbar) / 2 - np.hypot((d_s - d_sbar) / 2, z)))
 
 
 # ---------------------------------------------------------------------------

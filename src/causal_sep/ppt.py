@@ -7,7 +7,9 @@ local dimensions).  The verdict names keep that one-sidedness explicit:
 PPT_SEPARABLE_CONSISTENT is a consistency statement, not a proof, except
 where ``conclusive`` is set, which holds only for a PSD state.  On the EC
 family a partial transpose keeps rho's spectrum (for real p it is rho
-itself), so there NPT means that rho has a negative eigenvalue.
+itself), so there NPT means that rho has a negative eigenvalue, which
+``ec_family.ec_min_eigenvalue`` gives in closed form; ``compare`` reads it
+from there, and ``ppt`` keeps the dense route for arbitrary matrices.
 
 References: A. Peres, Phys. Rev. Lett. 77, 1413 (1996); M., P. and
 R. Horodecki, Phys. Lett. A 223, 1 (1996).

@@ -248,6 +248,28 @@ def test_sweep_zero_steps(capsys):
     assert out == "variant,D,N,p,W_closed,W_matrix,p_th1,p_th2,verdict\n"
 
 
+@pytest.mark.parametrize("command", [["ec", "sweep"], ["compare"]])
+@pytest.mark.parametrize("steps", [2**20 + 1, 10**9])
+def test_steps_over_the_grid_limit_fail_fast(capsys, command, steps):
+    # a billion-point grid alone is 7.45 GiB of floats: refused before
+    # np.linspace allocates it
+    argv = command + [
+        "--class", "a", "--mixing", "weak", "--D", "2", "--N", "2", "--steps", str(steps),
+    ]
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(argv, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 4 * 2**20  # the grid of 2**20 + 1 points alone is 8 MiB
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --steps {steps} exceeds the grid limit 1048576\n"
+
+
 def test_sweep_b_requires_m_abs(capsys):
     code, _, err = run_cli(
         [

@@ -19,6 +19,7 @@ from causal_sep.ec_family import (
     crossover_N,
     all_variants,
     duality_residuals,
+    ec_min_eigenvalue,
     ec_operator,
     renormalized_threshold,
     threshold,
@@ -466,3 +467,60 @@ def test_sweep_W_matrix_equals_dense_route(capsys, dims, variant):
     for row in json.loads(out)["rows"]:
         prm = ECParams(ec_class, mixing, coupling, D, N, complex(row["p"]))
         assert row["W_matrix"] == causal_W(build_ec_matrix(prm), j0, s0, coupling).W
+
+
+# ---------------------------------------------------------------------------
+# closed-form spectrum against the dense eigensolve
+# ---------------------------------------------------------------------------
+
+def _sample_params(variant, D, N, rng):
+    """The p endpoints, then random points: complex p for class a, random
+    b_sites for class b."""
+    ec_class, mixing, coupling = variant
+    if ec_class is A:
+        phases = np.exp(2j * np.pi * rng.uniform(size=4))
+        ps = [0.0, 1.0, -1.0, phases[0]] + list(rng.uniform(size=3) * phases[1:])
+        return [ECParams(*variant, D, N, p) for p in ps]
+    ps = [0.0, 1.0] + list(rng.uniform(size=4))
+    return [ECParams(*variant, D, N, p, tuple(rng.integers(0, 2, N))) for p in ps]
+
+
+@pytest.mark.parametrize(
+    "D, N", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (4, 2), (4, 3)]
+)
+@pytest.mark.parametrize("variant", all_variants(), ids=lambda v: "-".join(x.value for x in v))
+def test_ec_min_eigenvalue_matches_dense_eigensolve(D, N, variant):
+    rng = np.random.default_rng(100 * D + N)
+    for prm in _sample_params(variant, D, N, rng):
+        spectrum = np.linalg.eigvalsh(build_ec_matrix(prm).matrix)
+        # eigvalsh errs by a few ulps of the spectral radius; relative to the
+        # largest entry its own error reaches 1.1e-14 at (4,3)
+        scale = np.abs(spectrum).max()
+        assert abs(ec_min_eigenvalue(prm) - spectrum[0]) <= 1e-14 * scale, (prm.p, prm.b_sites)
+
+
+# ---------------------------------------------------------------------------
+# class b: rho / trace does not depend on p
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("D, N", [(2, 3), (3, 3), (3, 4)])
+@pytest.mark.parametrize("mixing", [WEAK, STRONG])
+@pytest.mark.parametrize("coupling", [FREE, COUPLED])
+def test_class_b_normalized_matrix_is_constant_in_p(D, N, mixing, coupling):
+    # rho = F * (Dhat (x) ... + Ohat (x) ...) with F = prod_n f_n, so every
+    # p in (0, 1) gives the same rho / trace; W, quadratic in rho, keeps
+    # W / trace^2 and so its sign, and the minimum eigenvalue scales with the trace
+    b_sites = tuple(np.random.default_rng(10 * D + N).integers(0, 2, N))
+    s0, j0 = PartySubset((0,), N), (0,) * N
+    normalized, W, lambdas = [], [], []
+    for p in np.linspace(0.0, 1.0, 21)[1:-1]:
+        prm = ECParams(B, mixing, coupling, D, N, float(p), b_sites)
+        rho = build_ec_matrix(prm)
+        tr = rho.trace()
+        normalized.append(rho.matrix / tr)
+        W.append(causal_W(ec_operator(prm), j0, s0, coupling).W / tr**2)
+        lambdas.append(ec_min_eigenvalue(prm) / tr)
+    assert np.abs(np.array(normalized) - normalized[0]).max() <= 1e-15
+    assert np.ptp(W) <= 1e-14 * np.abs(W).max()
+    assert len({_sign(w) for w in W}) == 1
+    assert np.ptp(lambdas) <= 1e-15

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,8 @@ from causal_sep.ppt import (
     ppt_check,
     ppt_report,
 )
+
+from conftest import run_cli
 
 S1 = PartySubset((1,), 2)
 
@@ -122,3 +126,53 @@ def test_ec_partial_transpose_is_rho_for_real_p(D, N, variant):
         rho = build_ec_matrix(ECParams(*variant, D=D, N=N, p=float(p)))
         for s in canonical_subsets(N):
             assert partial_transpose(rho, s).matrix.tobytes() == rho.matrix.tobytes(), (p, s)
+
+
+# Grid points of a 41-point compare grid where the normalized matrix's
+# smallest eigenvalue lies within 1e-9 of zero, by (class, mixing, D); the
+# same at every N and coupling tested.  Class a: p = 0, a pure product
+# state, and the PSD edge |p| = 1/2 (weak mixing, or D = 2) or
+# 1/(1 + (D-1)^2) = 0.2 (strong, D = 3): indices 0, 20 and 8 of [0, 1].
+# Class b: rho / trace is the same at every p, and lies on the PSD edge at
+# D = 2 and for weak mixing at D = 3.
+EVERY_POINT = list(range(41))
+NEAR_ZERO = {
+    ("a", "weak", 2): [0, 20],
+    ("a", "weak", 3): [0, 20],
+    ("a", "strong", 2): [0, 20],
+    ("a", "strong", 3): [0, 8],
+    ("b", "weak", 2): EVERY_POINT,
+    ("b", "weak", 3): EVERY_POINT,
+    ("b", "strong", 2): EVERY_POINT,
+    ("b", "strong", 3): [],
+}
+
+
+@pytest.mark.parametrize("D, N", [(2, 2), (2, 3), (3, 3), (3, 4)])
+@pytest.mark.parametrize("variant", all_variants(), ids=lambda v: "-".join(x.value for x in v))
+def test_compare_ppt_column_equals_dense_report(capsys, D, N, variant):
+    # compare reads the PPT side from the closed-form spectrum; the dense
+    # partial transposes over every canonical cut must give the same column
+    ec_class, mixing, coupling = variant
+    argv = [
+        "compare", "--class", ec_class.value, "--mixing", mixing.value,
+        "--coupling", coupling.value, "--D", str(D), "--N", str(N), "--steps", "41",
+    ]
+    if ec_class is ECClass.B:
+        argv += ["--m-abs", "1", "--p-end", "0.95"]  # p = 1 zeroes the class-b trace
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    near_zero = []
+    for i, row in enumerate(rows):
+        rho = build_ec_matrix(ECParams(*variant, D=D, N=N, p=complex(row["p"])))
+        if not rho.normalized:
+            rho = DensityMatrix(D=D, N=N, matrix=rho.matrix / rho.trace(), normalized=True)
+        dense = "npt_entangled" if any_npt(ppt_report(rho)) else "ppt_separable_consistent"
+        assert row["ppt"] == dense, row["p"]
+        if abs(hermitian_eigenvalues(rho)[0]) < 1e-9:
+            near_zero.append(i)
+    assert near_zero == NEAR_ZERO[ec_class.value, mixing.value, D]
+    if ec_class is ECClass.B:
+        # one matrix up to scale, so one pair of verdicts over the whole grid
+        assert len({(row["causal"], row["ppt"]) for row in rows}) == 1
