@@ -14,6 +14,7 @@ import io
 import json
 import sys
 from itertools import chain, cycle, repeat
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .density import (
     MatrixFormatError,
     PartySubset,
     load_matrix,
-    matrix_json,
+    matrix_chunks,
 )
 from .ec_family import (
     ECClass,
@@ -49,14 +50,17 @@ from .ec_family import (
 from .ppt import PPT_TOL, any_npt, ppt_check, ppt_report
 
 SCHEMA = "causal-sep/1"
+# Configurations per batch of score lines that classify formats and writes
+SCORE_BATCH = 16
 
 
 # ---------------------------------------------------------------------------
 # output formatting
 # ---------------------------------------------------------------------------
 
-def _json_payload(payload: dict, report: CriterionReport | None = None) -> str:
-    """One JSON line; a ``report``'s to_dict() keys follow the payload's."""
+def _json_payload(payload: dict, report: CriterionReport | None = None) -> Iterable[str]:
+    """One JSON line; a ``report``'s to_dict() keys follow the payload's, and
+    its scores are written a batch at a time."""
     values = () if report is None else (report.P_ignorance, report.P_transition, report.W)
     if not all(np.isfinite(v).all() for v in values):
         # json.dumps spells non-finite floats its own way (NaN, Infinity)
@@ -64,8 +68,15 @@ def _json_payload(payload: dict, report: CriterionReport | None = None) -> str:
     if report is None:
         return json.dumps(payload, separators=(",", ":")) + "\n"
     head = {**payload, "mode": report.mode.value, "overall": report.overall.value}
-    scores = ",".join(_score_lines(report, ",", _JSON_SCORE_FIELDS))
-    return f'{json.dumps(head, separators=(",", ":"))[:-1]},"scores":[{scores}]}}\n'
+    head_text = f'{json.dumps(head, separators=(",", ":"))[:-1]},"scores":['
+    return chain([head_text], _json_scores(report), ["]}\n"])
+
+
+def _json_scores(report: CriterionReport) -> Iterator[str]:
+    for k, lines in enumerate(_score_batches(report, ",", _JSON_SCORE_FIELDS)):
+        if k:
+            yield ","
+        yield ",".join(lines)
 
 
 def _cell(x) -> str:
@@ -80,16 +91,17 @@ def _cell(x) -> str:
 
 def _csv_payload(
     header: list[str], rows: list[list], report: CriterionReport | None = None
-) -> str:
-    """CSV text: the header, the rows, then one line per score of ``report``."""
+) -> Iterable[str]:
+    """CSV text: the header, the rows, then one line per score of ``report``,
+    a batch at a time."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow([_cell(x) for x in row])
-    if report is not None:
-        buf.writelines(_score_lines(report, ";", _CSV_SCORE_FIELDS))
-    return buf.getvalue()
+    if report is None:
+        return buf.getvalue()
+    return chain([buf.getvalue()], map("".join, _score_batches(report, ";", _CSV_SCORE_FIELDS)))
 
 
 def _row_payload(args, command: str, header: list[str], row: list, **extra) -> str:
@@ -118,22 +130,27 @@ _JSON_SCORE_FIELDS = (
 _CSV_SCORE_FIELDS = ("", ",", ",", ",", ",", ",", "\n")
 
 
-def _score_lines(report: CriterionReport, sep: str, fields: tuple[str, ...]):
-    """One string per score, in report order: the six cells between
-    ``fields``, labels joined by ``sep``, floats as repr writes them.  Whole
-    columns are converted at once and zipped; no Python code runs per score."""
-    per_config = lambda cells: chain.from_iterable(map(repeat, cells, repeat(len(report.subsets))))
-    configs = (fields[0] + sep.join(map(str, c)) + fields[1] for c in report.configs.tolist())
+def _score_batches(report: CriterionReport, sep: str, fields: tuple[str, ...]):
+    """The score lines of ``report`` in report order, as one iterator per
+    batch of ``SCORE_BATCH`` configurations: the six cells of a score between
+    ``fields``, labels joined by ``sep``, floats as repr writes them.  Each
+    batch converts its own rows at once and zips the columns; no Python code
+    runs per score."""
+    subsets = [sep.join(map(str, s.members)) + fields[2] for s in report.subsets]
     verdicts = [fields[5] + v.value + fields[6] for v in ScoreVerdict]  # by the entangled flag
-    return map("".join, zip(
-        per_config(configs),
-        cycle([sep.join(map(str, s.members)) + fields[2] for s in report.subsets]),
-        per_config(repr(x) + fields[3] for x in report.P_ignorance.tolist()),
-        map(repr, report.P_transition.ravel().tolist()),
-        repeat(fields[4]),
-        map(repr, report.W.ravel().tolist()),
-        map(verdicts.__getitem__, report.entangled.ravel().tolist()),
-    ))
+    per_config = lambda cells: chain.from_iterable(map(repeat, cells, repeat(len(subsets))))
+    for lo in range(0, len(report.configs), SCORE_BATCH):
+        rows = slice(lo, lo + SCORE_BATCH)
+        configs = report.configs[rows].tolist()
+        yield map("".join, zip(
+            per_config(fields[0] + sep.join(map(str, c)) + fields[1] for c in configs),
+            cycle(subsets),
+            per_config(repr(x) + fields[3] for x in report.P_ignorance[rows].tolist()),
+            map(repr, report.P_transition[rows].ravel().tolist()),
+            repeat(fields[4]),
+            map(repr, report.W[rows].ravel().tolist()),
+            map(verdicts.__getitem__, report.entangled[rows].ravel().tolist()),
+        ))
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +296,7 @@ def _params(variant: Variant, args, p: complex) -> ECParams:
     return ECParams(*variant, D=args.D, N=args.N, p=p)
 
 
-def cmd_ec_build(args) -> str:
+def cmd_ec_build(args) -> Iterable[str]:
     variant = _variant(args)
     params = _params(variant, args, args.p)
     rho = build_ec_matrix(params)
@@ -291,7 +308,7 @@ def cmd_ec_build(args) -> str:
         f"min eigenvalue = {min_eig!r} ({'PSD' if psd else 'not PSD'})",
         file=sys.stderr,
     )
-    return matrix_json(rho)
+    return matrix_chunks(rho)
 
 
 def _threshold_rows(variant: Variant, D: int, N: int, m_abs: int | None) -> list[list]:
@@ -401,7 +418,7 @@ def cmd_ec_sweep(args) -> str:
     return _rows_payload(args, "ec-sweep", header, rows, variant=name, D=args.D, N=args.N)
 
 
-def cmd_classify(args) -> str:
+def cmd_classify(args) -> Iterable[str]:
     rho = load_matrix(args.input)
     report = classify(rho, CouplingMode(args.coupling))
     if args.format == "csv":
@@ -443,8 +460,10 @@ def cmd_ppt(args) -> str:
 
 def cmd_compare(args) -> str:
     variant = _variant(args)
-    if variant[0] is ECClass.B and args.m_abs is None:
-        raise ValueError("b-class comparisons need --m-abs")
+    if variant[0] is ECClass.B:
+        if args.m_abs is None:
+            raise ValueError("b-class comparisons need --m-abs")
+        threshold(*variant, args.D, args.N, args.m_abs)  # checks the range of --m-abs
     name = variant_name(*variant)
     mode = variant[2]
     rows = []
@@ -493,12 +512,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # a command computes its result before returning, so its errors come
+        # before any output; the text is then written one chunk at a time
         payload = args.func(args)
+        chunks = [payload] if isinstance(payload, str) else payload
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+                fh.writelines(chunks)
         else:
-            sys.stdout.write(payload)
+            sys.stdout.writelines(chunks)
     except (MatrixFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -228,7 +228,9 @@ _ENTRIES = re.compile(
 )
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
 # json reads the integer token -0 as +0.0, numpy's parser as -0.0
-_INTEGER_MINUS_ZERO = re.compile(rb"-0[ \t\n\r,]")
+_INTEGER_MINUS_ZERO = re.compile(rb"-0[ \t\n\r,\]]")
+# Bytes of entries text per slice of the parser (about; a slice ends with a pair)
+PARSE_SLICE_BYTES = 2**20
 # Floats per chunk of the writer (even: whole pairs)
 WRITE_CHUNK = 2**16
 
@@ -240,21 +242,31 @@ def matrix_to_payload(rho: DensityMatrix) -> dict:
     return {"D": rho.D, "N": rho.N, "normalized": rho.normalized, "entries": entries}
 
 
-def matrix_json(rho: DensityMatrix) -> str:
-    """The matrix file text: byte for byte ``json.dumps(matrix_to_payload(rho),
-    separators=(",", ":"))`` and a newline, written from the flat float64 view
-    a chunk at a time.  json writes a float as its repr."""
+def matrix_chunks(rho: DensityMatrix) -> Iterator[str]:
+    """The matrix file text in pieces, ``WRITE_CHUNK`` floats of entries at a
+    time: joined, byte for byte ``json.dumps(matrix_to_payload(rho),
+    separators=(",", ":"))`` and a newline.  json writes a float as its repr.
+    A non-finite entry raises here, before any piece is produced."""
     head = json.dumps(
         {"D": rho.D, "N": rho.N, "normalized": rho.normalized}, separators=(",", ":")
     )
     flat = np.ascontiguousarray(rho.matrix).view(np.float64).reshape(-1)
     if not np.isfinite(flat).all():
         raise ValueError("matrix entries must be finite to be written as JSON")
-    chunks = []
+    return itertools.chain([f'{head[:-1]},"entries":[['], _entries_text(flat), ["]]}\n"])
+
+
+def _entries_text(flat: np.ndarray) -> Iterator[str]:
     for lo in range(0, flat.size, WRITE_CHUNK):
+        if lo:
+            yield "],["
         floats = map(repr, flat[lo : lo + WRITE_CHUNK].tolist())
-        chunks.append("],[".join(map(",".join, zip(floats, floats))))
-    return f'{head[:-1]},"entries":[[{"],[".join(chunks)}]]}}\n'
+        yield "],[".join(map(",".join, zip(floats, floats)))
+
+
+def matrix_json(rho: DensityMatrix) -> str:
+    """The matrix file text: ``matrix_chunks`` joined."""
+    return "".join(matrix_chunks(rho))
 
 
 def save_matrix(rho: DensityMatrix, path: str) -> None:
@@ -278,11 +290,13 @@ def load_matrix(path: str) -> DensityMatrix:
         data = fh.read()
     split = _split_entries(data)
     if split is not None:
-        header, body = split
+        header, start, end = split
         D, N, normalized = _header(header, path)
-        _check_count(body.count(b"[") - 1, D**N, path)
-        pairs = _parse_pairs(body)
+        dim = D**N
+        _check_count(data.count(b"[", start, end) - 1, dim, path)
+        pairs = _parse_pairs(data, start, end, 2 * dim * dim)
         if pairs is not None:
+            del data  # the invariant checks run without the file's bytes
             return _from_pairs(pairs, D, N, normalized, path)
     try:
         # newlines translated as a text-mode read does, so the line and
@@ -298,10 +312,11 @@ def load_matrix(path: str) -> DensityMatrix:
     return payload_to_matrix(payload, origin=path)
 
 
-def _split_entries(data: bytes) -> tuple[dict, bytes] | None:
-    """(header, entries text) when the top-level "entries" value of the file
-    is an array of number pairs; the header is the file parsed with that
-    value replaced by [].  None when the text alone does not settle it."""
+def _split_entries(data: bytes) -> tuple[dict, int, int] | None:
+    """(header, start, end) when ``data[start:end]``, the top-level "entries"
+    value of the file, is an array of number pairs; the header is the file
+    parsed with that value replaced by [].  None when the text alone does not
+    settle it."""
     found = _ENTRIES.search(data)
     if found is None:
         return None
@@ -317,18 +332,33 @@ def _split_entries(data: bytes) -> tuple[dict, bytes] | None:
         return None
     if not (isinstance(header, dict) and header.get("entries") == []):
         return None
-    return header, data[start:end]
+    return header, start, end
 
 
-def _parse_pairs(body: bytes) -> np.ndarray | None:
-    """The numbers of a matched entries text as one float64 array, or None
-    where numpy's parser may read a token otherwise than json: a non-finite
-    value, or the integer token -0."""
-    text = body.translate(_BRACKETS_TO_SPACES)
-    pairs = np.fromstring(text, sep=",")
-    if not np.isfinite(pairs).all():
+def _parse_pairs(data: bytes, start: int, end: int, size: int) -> np.ndarray | None:
+    """The ``size`` numbers of the matched entries text ``data[start:end]`` as
+    one float64 array, or None where numpy's parser may read a token otherwise
+    than json: a non-finite value, or the integer token -0.
+
+    The text is parsed in slices of about ``PARSE_SLICE_BYTES``, each cut at
+    the comma after a pair's closing bracket, so no copy of the whole text is
+    made."""
+    pairs = np.empty(size)
+    filled, lo, negative_zero = 0, start, False
+    while lo < end:
+        close = data.find(b"]", lo + PARSE_SLICE_BYTES, end)
+        cut = data.find(b",", close, end) if close >= 0 else -1
+        hi = end if cut < 0 else cut
+        part = np.fromstring(data[lo:hi].translate(_BRACKETS_TO_SPACES), sep=",")
+        if not np.isfinite(part).all():
+            return None
+        negative_zero |= (np.signbit(part) & (part == 0)).any()
+        pairs[filled : filled + part.size] = part
+        filled += part.size
+        lo = hi + 1
+    if filled != size:
         return None
-    if (np.signbit(pairs) & (pairs == 0)).any() and _INTEGER_MINUS_ZERO.search(text):
+    if negative_zero and _INTEGER_MINUS_ZERO.search(data, start, end):
         return None
     return pairs
 

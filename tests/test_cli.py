@@ -10,8 +10,9 @@ import warnings
 import numpy as np
 import pytest
 
+from causal_sep import cli, density
 from causal_sep.criterion import classify
-from causal_sep.density import DensityMatrix, bell_state, save_matrix
+from causal_sep.density import DensityMatrix, bell_state, matrix_to_payload, save_matrix
 from causal_sep.ec_family import (
     ECClass,
     ECParams,
@@ -384,17 +385,19 @@ def test_build_emits_matrix_json(capsys):
     assert len(payload["entries"]) == 16
 
 
-def test_build_writes_the_save_matrix_bytes(tmp_path, capsys):
+def test_build_writes_the_save_matrix_bytes(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(density, "WRITE_CHUNK", 10)  # 27^2 pairs: written in 146 chunks
+    argv = ["ec", "build", "--class", "a", "--mixing", "weak", "--D", "3", "--N", "3",
+            "--p", "(0.4-0.3j)"]
     built = tmp_path / "built.json"
-    code, _, _ = run_cli(
-        ["ec", "build", "--class", "a", "--mixing", "weak", "--D", "3", "--N", "3",
-         "--p", "(0.4-0.3j)", "--out", str(built)],
-        capsys,
-    )
+    code, _, _ = run_cli(argv + ["--out", str(built)], capsys)
     assert code == 0
     saved = tmp_path / "saved.json"
-    save_matrix(build_ec_matrix(ECParams(ECClass.A, Mixing.WEAK, CouplingMode.N_FREE, 3, 3, 0.4 - 0.3j)), str(saved))
+    rho = build_ec_matrix(ECParams(ECClass.A, Mixing.WEAK, CouplingMode.N_FREE, 3, 3, 0.4 - 0.3j))
+    save_matrix(rho, str(saved))
     assert built.read_bytes() == saved.read_bytes()
+    want = json.dumps(matrix_to_payload(rho), separators=(",", ":")) + "\n"
+    assert saved.read_bytes().decode() == run_cli(argv, capsys)[1] == want
 
 
 def test_build_rejects_nan_mixing_parameter(capsys):
@@ -520,6 +523,55 @@ def test_classify_payload_with_overflowing_scores(tmp_path, capsys, fmt):
     assert ("-Infinity" if fmt == "json" else "-inf") in out
 
 
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("mode", ["free", "coupled"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_classify_payload_across_score_batches(tmp_path, capsys, monkeypatch, batch, mode, fmt):
+    monkeypatch.setattr(cli, "SCORE_BATCH", batch)
+    for dims in [(2, 5), (3, 3)]:  # 16 and 9 distinct configurations
+        rho = random_state(*dims, np.random.default_rng(sum(dims)))
+        matrix_file = str(tmp_path / "state.json")
+        save_matrix(rho, matrix_file)
+        want = _classify_via_to_dict(rho, mode, fmt)
+        argv = ["classify", "--input", matrix_file, "--coupling", mode, "--format", fmt]
+        assert run_cli(argv, capsys)[:2] == (0, want)
+        target = tmp_path / "scores.out"
+        assert run_cli(argv + ["--out", str(target)], capsys)[:2] == (0, "")
+        assert target.read_bytes().decode() == want
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_classify_formatting_memory_bound(tmp_path, capsys, monkeypatch, fmt):
+    # D=2, N=8: 128 configurations x 127 subsets, 8 batches of 16
+    # configurations; the parent's joined payload peaked near 3x its size
+    rho = random_state(2, 8, np.random.default_rng(28))
+    report = classify(rho, CouplingMode.N_FREE)
+    monkeypatch.setattr(cli, "load_matrix", lambda path: rho)
+    monkeypatch.setattr(cli, "classify", lambda rho, mode: report)
+    target = tmp_path / "scores.out"
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(
+            ["classify", "--input", "state.json", "--format", fmt, "--out", str(target)], capsys
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < target.stat().st_size / 2, f"formatting peaked at {peak / 2**20:.2f} MiB"
+
+
+def test_classify_error_leaves_out_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"D":2,"N":1,"normalized":true,"entries":[[0.5,0],[0,0],[0,0],[0.6,0]]}')
+    target = tmp_path / "scores.json"
+    target.write_text("kept")
+    code, out, err = run_cli(["classify", "--input", str(bad), "--out", str(target)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {bad}: trace invariant violated")
+    assert target.read_text() == "kept"
+
+
 def test_ppt_subset_flag(tmp_path, capsys):
     matrix_file = str(tmp_path / "bell.json")
     save_matrix(bell_state("psi+"), matrix_file)
@@ -574,6 +626,17 @@ def test_compare_agreement_two_qubits(capsys):
     causal = [row["causal"] for row in payload["rows"]]
     assert causal[50] == "separable_by_criterion"
     assert causal[51] == "entangled"
+
+
+@pytest.mark.parametrize("m_abs", [0, 3, 99, -5])
+def test_compare_b_rejects_m_abs_out_of_range(capsys, m_abs):
+    argv = ["compare", "--class", "b", "--mixing", "weak", "--D", "3", "--N", "3",
+            "--steps", "5", "--p-end", "0.9"]
+    code, out, err = run_cli(argv + ["--m-abs", str(m_abs)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: m_abs must be an integer in 1..N-1=2, got {m_abs}\n"
+    # an in-range --m-abs takes no part in the payload
+    assert run_cli(argv + ["--m-abs", "1"], capsys)[1] == run_cli(argv + ["--m-abs", "2"], capsys)[1]
 
 
 def test_duality_payload(capsys):

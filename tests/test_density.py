@@ -355,6 +355,9 @@ def _encode(pairs, D, N, style):
     if style == "default":
         body = ", ".join(f"[{a}, {b}]" for a, b in pairs)
         return f'{{"D": {D}, "N": {N}, "normalized": false, "entries": [{body}]}}'
+    if style == "spaced":
+        body = " ,\t".join(f"[ {a} , {b} ]" for a, b in pairs)
+        return f'{{"D":{D},"N":{N},"normalized":false,"entries":[ {body} ]}}'
     body = ",\n".join(f" [\n  {a},\n  {b}\n ]" for a, b in pairs)
     return f'{{\n "D": {D},\n "N": {N},\n "normalized": false,\n "entries": [\n{body}\n]\n}}'
 
@@ -371,6 +374,25 @@ def test_load_bitwise_equal_to_json_route(tmp_path, style, with_int_minus_zero):
         want = np.array(json.loads(path.read_text())["entries"], dtype=np.float64)
         got = load_matrix(str(path)).matrix.view(np.float64).reshape(-1, 2)
         assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+
+@pytest.mark.parametrize("slice_bytes", [1, 7, 50])
+@pytest.mark.parametrize("style", ["compact", "default", "indent", "spaced"])
+def test_load_in_small_slices_equals_json_route(tmp_path, monkeypatch, slice_bytes, style):
+    # every slice edge falls after a pair's "]" and its comma, whatever the
+    # whitespace around them; an integer -0 in any slice is still seen
+    monkeypatch.setattr(density, "PARSE_SLICE_BYTES", slice_bytes)
+    rng = np.random.default_rng(29)
+    for k, (D, N) in enumerate([(2, 1), (2, 2), (3, 2), (2, 3), (1, 0)] * 2):
+        pairs = _edge_entries(_EDGE_TOKENS + ["-0"] * (k >= 5), D**N, rng)
+        path = tmp_path / f"m{k}.json"
+        path.write_text(_encode(pairs, D, N, style))
+        want = np.array(json.loads(path.read_text())["entries"], dtype=np.float64)
+        got = load_matrix(str(path)).matrix.view(np.float64).reshape(-1, 2)
+        assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+    ec = build_ec_matrix(ECParams(ECClass.A, Mixing.WEAK, CouplingMode.N_FREE, 3, 3, 0.4 - 0.3j))
+    save_matrix(ec, str(tmp_path / "ec.json"))
+    assert load_matrix(str(tmp_path / "ec.json")).matrix.tobytes() == ec.matrix.tobytes()
 
 
 def test_load_reads_number_pairs_without_json_entries(tmp_path, monkeypatch):
@@ -523,11 +545,22 @@ def test_matrix_json_equals_json_dumps(D, N):
         assert matrix_json(m) == want
 
 
+def test_matrix_chunks_are_whole_write_chunks(monkeypatch):
+    monkeypatch.setattr(density, "WRITE_CHUNK", 6)  # three pairs per chunk
+    rho = maximally_mixed(2, 2)  # 16 pairs: five full chunks and one of a pair
+    chunks = list(density.matrix_chunks(rho))
+    assert "".join(chunks) == json.dumps(matrix_to_payload(rho), separators=(",", ":")) + "\n"
+    entries = [c for c in chunks[1:-1] if c != "],["]
+    assert [c.count(",") for c in entries] == [5] * 5 + [1]
+
+
 def test_save_rejects_non_finite_entries(tmp_path):
     arr = np.array([[np.inf, 0.0], [0.0, 0.5]], dtype=complex)
     rho = DensityMatrix._adopt(2, 1, arr, False, hermitian=True)
     with pytest.raises(ValueError, match="matrix entries must be finite"):
         matrix_json(rho)
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        density.matrix_chunks(rho)  # before the first chunk is asked for
     path = tmp_path / "m.json"
     path.write_text("kept")
     with pytest.raises(ValueError, match="matrix entries must be finite"):
