@@ -29,6 +29,7 @@ from .density import (
     DensityMatrix,
     MatrixFormatError,
     PartySubset,
+    float_texts,
     load_matrix,
     matrix_chunks,
 )
@@ -134,8 +135,8 @@ def _score_batches(report: CriterionReport, sep: str, fields: tuple[str, ...]):
     """The score lines of ``report`` in report order, as one iterator per
     batch of ``SCORE_BATCH`` configurations: the six cells of a score between
     ``fields``, labels joined by ``sep``, floats as repr writes them.  Each
-    batch converts its own rows at once and zips the columns; no Python code
-    runs per score."""
+    batch converts its own rows at once, formats each distinct float of a
+    column once and zips the columns; no Python code runs per score."""
     subsets = [sep.join(map(str, s.members)) + fields[2] for s in report.subsets]
     verdicts = [fields[5] + v.value + fields[6] for v in ScoreVerdict]  # by the entangled flag
     per_config = lambda cells: chain.from_iterable(map(repeat, cells, repeat(len(subsets))))
@@ -145,10 +146,10 @@ def _score_batches(report: CriterionReport, sep: str, fields: tuple[str, ...]):
         yield map("".join, zip(
             per_config(fields[0] + sep.join(map(str, c)) + fields[1] for c in configs),
             cycle(subsets),
-            per_config(repr(x) + fields[3] for x in report.P_ignorance[rows].tolist()),
-            map(repr, report.P_transition[rows].ravel().tolist()),
+            per_config(x + fields[3] for x in float_texts(report.P_ignorance[rows])),
+            float_texts(report.P_transition[rows].ravel()),
             repeat(fields[4]),
-            map(repr, report.W[rows].ravel().tolist()),
+            float_texts(report.W[rows].ravel()),
             map(verdicts.__getitem__, report.entangled[rows].ravel().tolist()),
         ))
 

@@ -260,8 +260,19 @@ def _entries_text(flat: np.ndarray) -> Iterator[str]:
     for lo in range(0, flat.size, WRITE_CHUNK):
         if lo:
             yield "],["
-        floats = map(repr, flat[lo : lo + WRITE_CHUNK].tolist())
+        floats = iter(float_texts(flat[lo : lo + WRITE_CHUNK]))
         yield "],[".join(map(",".join, zip(floats, floats)))
+
+
+def float_texts(values: np.ndarray) -> list[str]:
+    """``list(map(repr, values.tolist()))`` for a 1-d float64 array, with
+    repr called once per distinct value: the values are keyed on their bit
+    patterns, so 0.0 and -0.0 (equal as floats) keep their own texts."""
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    if distinct.size == values.size:  # nothing repeats: gathering saves nothing
+        return list(map(repr, values.tolist()))
+    texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].tolist()
 
 
 def matrix_json(rho: DensityMatrix) -> str:

@@ -61,6 +61,7 @@ single point p = 1/2 exactly (g = 0 in the logistic).
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -70,6 +71,9 @@ import numpy as np
 
 from .config_calculus import CouplingMode, check_dims
 from .density import TRACE_TOL, DensityMatrix
+
+# Byte budget of one block of rows of a dense EC build
+BUILD_BLOCK_BYTES = 4 * 2**20
 
 
 class ECClass(Enum):
@@ -214,12 +218,34 @@ def ec_operator(params: ECParams) -> KronSum:
 
 def build_ec_matrix(params: ECParams) -> DensityMatrix:
     """Materialize the EC matrix of ``ec_operator(params)`` as a dense
-    D^N x D^N DensityMatrix."""
+    D^N x D^N DensityMatrix.
+
+    The matrix is written a block of rows at a time, each block the sum of
+    the two site products' rows, so no second D^N x D^N array is held.
+    Every entry is bit for bit ``reduce(np.kron, diag_sites) +
+    reduce(np.kron, off_sites)``: the same factors multiplied in the same
+    order, then one addition.
+    """
     op = ec_operator(params)
-    matrix = reduce(np.kron, op.diag_sites)
-    matrix += reduce(np.kron, op.off_sites)
+    D, N, dim = op.D, op.N, op.dim
+    # a block is the rows whose first ``fixed`` site labels agree
+    fixed = 0
+    while fixed < N and 16 * dim * D ** (N - fixed) > BUILD_BLOCK_BYTES:
+        fixed += 1
+    matrix = np.empty((dim, dim), dtype=np.complex128)
+    blocks = matrix.reshape(D**fixed, -1, dim)
+    for block, labels in zip(blocks, itertools.product(range(D), repeat=fixed)):
+        block[...] = _kron_rows(op.diag_sites, labels)
+        block += _kron_rows(op.off_sites, labels)
     trace = float(np.trace(matrix).real)
-    return DensityMatrix._adopt(op.D, op.N, matrix, abs(trace - 1.0) <= TRACE_TOL)
+    return DensityMatrix._adopt(D, N, matrix, abs(trace - 1.0) <= TRACE_TOL)
+
+
+def _kron_rows(sites: np.ndarray, labels: tuple[int, ...]) -> np.ndarray:
+    """The rows of ``reduce(np.kron, sites)`` whose leading site labels are
+    ``labels``, formed by ``np.kron`` from the same factors."""
+    rows = [site[i : i + 1] for site, i in zip(sites, labels)]
+    return reduce(np.kron, rows + list(sites[len(labels) :]))
 
 
 def ec_min_eigenvalue(params: ECParams) -> float:

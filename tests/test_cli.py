@@ -385,15 +385,22 @@ def test_build_emits_matrix_json(capsys):
     assert len(payload["entries"]) == 16
 
 
-def test_build_writes_the_save_matrix_bytes(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(density, "WRITE_CHUNK", 10)  # 27^2 pairs: written in 146 chunks
-    argv = ["ec", "build", "--class", "a", "--mixing", "weak", "--D", "3", "--N", "3",
-            "--p", "(0.4-0.3j)"]
+@pytest.mark.parametrize("variant, D, N, p, chunk", [
+    (("a", "weak"), 3, 3, "(0.4-0.3j)", 10),  # 27^2 pairs: written in 146 chunks
+    (("a", "strong"), 2, 8, "0.3", None),  # 27 distinct floats in two chunks
+    (("b", "weak"), 3, 5, "0.35", None),
+])
+def test_build_writes_the_save_matrix_bytes(tmp_path, capsys, monkeypatch, variant, D, N, p, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(density, "WRITE_CHUNK", chunk)
+    argv = ["ec", "build", "--class", variant[0], "--mixing", variant[1], "--D", str(D),
+            "--N", str(N), "--p", p]
     built = tmp_path / "built.json"
     code, _, _ = run_cli(argv + ["--out", str(built)], capsys)
     assert code == 0
     saved = tmp_path / "saved.json"
-    rho = build_ec_matrix(ECParams(ECClass.A, Mixing.WEAK, CouplingMode.N_FREE, 3, 3, 0.4 - 0.3j))
+    prm = ECParams(ECClass(variant[0]), Mixing(variant[1]), CouplingMode.N_FREE, D, N, complex(p))
+    rho = build_ec_matrix(prm)
     save_matrix(rho, str(saved))
     assert built.read_bytes() == saved.read_bytes()
     want = json.dumps(matrix_to_payload(rho), separators=(",", ":")) + "\n"
@@ -528,8 +535,11 @@ def test_classify_payload_with_overflowing_scores(tmp_path, capsys, fmt):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_classify_payload_across_score_batches(tmp_path, capsys, monkeypatch, batch, mode, fmt):
     monkeypatch.setattr(cli, "SCORE_BATCH", batch)
-    for dims in [(2, 5), (3, 3)]:  # 16 and 9 distinct configurations
-        rho = random_state(*dims, np.random.default_rng(sum(dims)))
+    # 16 and 9 distinct configurations; the EC state's scores repeat heavily
+    # within a batch, the random states' do not
+    ec = build_ec_matrix(ECParams(ECClass.A, Mixing.STRONG, CouplingMode(mode), 2, 6, 0.3 + 0.4j))
+    states = [random_state(*dims, np.random.default_rng(sum(dims))) for dims in [(2, 5), (3, 3)]]
+    for rho in states + [ec]:
         matrix_file = str(tmp_path / "state.json")
         save_matrix(rho, matrix_file)
         want = _classify_via_to_dict(rho, mode, fmt)

@@ -16,6 +16,7 @@ from causal_sep.density import (
     bell_state,
     canonical_subsets,
     config_to_index,
+    float_texts,
     hermitian_eigenvalues,
     load_matrix,
     matrix_json,
@@ -552,6 +553,43 @@ def test_matrix_chunks_are_whole_write_chunks(monkeypatch):
     assert "".join(chunks) == json.dumps(matrix_to_payload(rho), separators=(",", ":")) + "\n"
     entries = [c for c in chunks[1:-1] if c != "],["]
     assert [c.count(",") for c in entries] == [5] * 5 + [1]
+
+
+@pytest.mark.parametrize("values", [
+    [0.0, -0.0, 0.0, -0.0],
+    [5e-324, 2.2250738585072014e-308, -5e-324, 5e-324],
+    [1e16, 9999999999999998.0, 1e16, -1e16],
+    [1e-4, 9.999999999999999e-05, 1e-4, 0.0001],
+    [1e22, 1.7976931348623157e308, -1.7976931348623157e308, 1e22],
+    [0.1, 0.2, 0.30000000000000004, 1 / 3],  # all distinct
+    [],
+], ids=["signed-zeros", "subnormal", "1e16", "1e-4", "extremes", "distinct", "empty"])
+def test_float_texts_equals_repr_at_edge_values(values):
+    x = np.array(values, dtype=np.float64)
+    assert float_texts(x) == list(map(repr, x.tolist()))
+
+
+def test_float_texts_equals_repr_on_random_bit_patterns():
+    rng = np.random.default_rng(2024)
+    x = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, 10**5, dtype=np.int64,
+                     endpoint=True).view(np.float64)
+    x = x[np.isfinite(x)]
+    assert float_texts(x) == list(map(repr, x.tolist()))
+    # a few distinct values, heavily repeated, in shuffled order
+    pool = np.concatenate([x[:7], [0.0, -0.0, 1e16, 9999999999999998.0]])
+    for size in (1, 2, 1000, 65536):
+        y = rng.permutation(rng.choice(pool, size))
+        assert float_texts(y) == list(map(repr, y.tolist()))
+
+
+def test_matrix_chunks_keep_signed_zeros_apart(monkeypatch):
+    monkeypatch.setattr(density, "WRITE_CHUNK", 8)  # four pairs per chunk
+    # the first chunk holds 0.0 and -0.0: equal as floats, written apart
+    m = np.array([[0.5, complex(0.0, -0.0)], [complex(-0.0, 0.0), 0.5]])
+    rho = DensityMatrix(D=2, N=1, matrix=m, normalized=True)
+    want = json.dumps(matrix_to_payload(rho), separators=(",", ":")) + "\n"
+    assert want == '{"D":2,"N":1,"normalized":true,"entries":[[0.5,0.0],[0.0,-0.0],[-0.0,0.0],[0.5,0.0]]}\n'
+    assert matrix_json(rho) == want
 
 
 def test_save_rejects_non_finite_entries(tmp_path):

@@ -1,10 +1,13 @@
 import json
 import math
+import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from causal_sep.config_calculus import CouplingMode
+from causal_sep import ec_family
 from causal_sep.criterion import causal_W
 from causal_sep.density import PartySubset, hermitian_eigenvalues
 from causal_sep.ec_family import (
@@ -497,6 +500,44 @@ def test_ec_min_eigenvalue_matches_dense_eigensolve(D, N, variant):
         # largest entry its own error reaches 1.1e-14 at (4,3)
         scale = np.abs(spectrum).max()
         assert abs(ec_min_eigenvalue(prm) - spectrum[0]) <= 1e-14 * scale, (prm.p, prm.b_sites)
+
+
+# ---------------------------------------------------------------------------
+# the blocked dense build against the two full Kronecker products
+# ---------------------------------------------------------------------------
+
+def _two_kron_sum(prm):
+    """The dense EC matrix as the two site products, each formed whole, and one sum."""
+    op = ec_operator(prm)
+    return reduce(np.kron, op.diag_sites) + reduce(np.kron, op.off_sites)
+
+
+@pytest.mark.parametrize("D, N", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (4, 3)])
+@pytest.mark.parametrize("variant", all_variants(), ids=lambda v: "-".join(x.value for x in v))
+def test_build_equals_two_kron_sum_bit_for_bit(monkeypatch, D, N, variant):
+    rng = np.random.default_rng(10 * D + N)
+    dim = D**N
+    # one block (the default at these sizes), D^(N-1) rows, D rows, one row a block
+    budgets = [ec_family.BUILD_BLOCK_BYTES, 16 * dim * D ** (N - 1), 16 * dim * D, 1]
+    for prm in _sample_params(variant, D, N, rng):
+        want = _two_kron_sum(prm).view(np.int64)  # signed zeros compared too
+        for budget in budgets:
+            monkeypatch.setattr(ec_family, "BUILD_BLOCK_BYTES", budget)
+            got = build_ec_matrix(prm).matrix.view(np.int64)
+            assert np.array_equal(got, want), (prm.p, prm.b_sites, budget)
+
+
+def test_build_memory_bound_at_2048():
+    # the two whole products peaked at 2.25x the matrix (144 MiB for 64 MiB)
+    prm = params(mixing=STRONG, D=2, N=11, p=0.3 + 0.4j)
+    tracemalloc.start()
+    try:
+        rho = build_ec_matrix(prm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rho.matrix.nbytes == 64 * 2**20
+    assert peak < 1.3 * rho.matrix.nbytes, f"build peaked at {peak / 2**20:.1f} MiB"
 
 
 # ---------------------------------------------------------------------------
