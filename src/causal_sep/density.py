@@ -269,8 +269,6 @@ def float_texts(values: np.ndarray) -> list[str]:
     repr called once per distinct value: the values are keyed on their bit
     patterns, so 0.0 and -0.0 (equal as floats) keep their own texts."""
     distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    if distinct.size == values.size:  # nothing repeats: gathering saves nothing
-        return list(map(repr, values.tolist()))
     texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
     return texts[inverse].tolist()
 
