@@ -49,6 +49,6 @@ from .ec_family import (
     renormalized_threshold,
     threshold,
 )
-from .ppt import PptOutcome, PptVerdict, ph_determinants_2x2, ppt_check, ppt_report
+from .ppt import PptOutcome, PptVerdict, ppt_check, ppt_report
 
 __version__ = "0.1.0"

@@ -469,18 +469,20 @@ def cmd_compare(args) -> str:
     mode = variant[2]
     rows = []
     disagreements = 0
+    causal = None
     for p in _grid(args):
         params = _params(variant, args, complex(p))
-        rho = build_ec_matrix(params)
-        tr = rho.trace()
-        if not rho.normalized:
-            if tr <= 1e-300:
-                raise ValueError(
-                    f"matrix trace vanishes at p={p!r}; shrink the p range"
-                )
-            # dividing by a real scalar keeps the matrix exactly Hermitian
-            rho = DensityMatrix._adopt(rho.D, rho.N, rho.matrix / tr, True, hermitian=True)
-        causal = classify(rho, mode).overall
+        tr = ec_operator(params).trace()  # the dense matrix's, bit for bit
+        if tr <= 1e-300:
+            raise ValueError(f"matrix trace vanishes at p={p!r}; shrink the p range")
+        # class b: rho / trace is the same matrix at every p (see ec_family),
+        # so it is built and classified at the first p only
+        if causal is None or variant[0] is ECClass.A:
+            rho = build_ec_matrix(params)
+            if not rho.normalized:
+                # dividing by a real scalar keeps the matrix exactly Hermitian
+                rho = DensityMatrix._adopt(rho.D, rho.N, rho.matrix / tr, True, hermitian=True)
+            causal = classify(rho, mode).overall
         # a partial transpose keeps an EC matrix's spectrum, so every cut is
         # NPT exactly when the normalized matrix has a negative eigenvalue
         npt = ec_min_eigenvalue(params) / tr < -PPT_TOL

@@ -179,6 +179,11 @@ class KronSum:
         at = (np.arange(self.N).reshape(shape), row // powers % self.D, col // powers % self.D)
         return reduce(np.multiply, self.diag_sites[at]) + reduce(np.multiply, self.off_sites[at])
 
+    def trace(self) -> float:
+        """The real part of the trace, the diagonal summed as ``np.trace``
+        sums it: bit for bit the dense matrix's ``DensityMatrix.trace()``."""
+        return float(self.entries(np.arange(self.dim) * (self.dim + 1)).sum().real)
+
 
 def ec_operator(params: ECParams) -> KronSum:
     """The site factors of the EC matrix in ``params``, from the recurrence.
@@ -224,9 +229,15 @@ def build_ec_matrix(params: ECParams) -> DensityMatrix:
     the two site products' rows, so no second D^N x D^N array is held.
     Every entry is bit for bit ``reduce(np.kron, diag_sites) +
     reduce(np.kron, off_sites)``: the same factors multiplied in the same
-    order, then one addition.
+    order, then one addition.  The site factors are Hermitian, and the
+    conjugate factors multiply to the conjugate product exactly, so the
+    matrix is Hermitian exactly and is adopted without a Hermiticity scan.
+    Its entries are products of N site entries of modulus about 1 or less,
+    so they are finite when the 2N site factors are.
     """
     op = ec_operator(params)
+    if not (np.isfinite(op.diag_sites).all() and np.isfinite(op.off_sites).all()):
+        raise ValueError("matrix entries must be finite")
     D, N, dim = op.D, op.N, op.dim
     # a block is the rows whose first ``fixed`` site labels agree
     fixed = 0
@@ -238,7 +249,7 @@ def build_ec_matrix(params: ECParams) -> DensityMatrix:
         block[...] = _kron_rows(op.diag_sites, labels)
         block += _kron_rows(op.off_sites, labels)
     trace = float(np.trace(matrix).real)
-    return DensityMatrix._adopt(D, N, matrix, abs(trace - 1.0) <= TRACE_TOL)
+    return DensityMatrix._adopt(D, N, matrix, abs(trace - 1.0) <= TRACE_TOL, hermitian=True)
 
 
 def _kron_rows(sites: np.ndarray, labels: tuple[int, ...]) -> np.ndarray:

@@ -9,7 +9,9 @@ where ``conclusive`` is set, which holds only for a PSD state.  On the EC
 family a partial transpose keeps rho's spectrum (for real p it is rho
 itself), so there NPT means that rho has a negative eigenvalue, which
 ``ec_family.ec_min_eigenvalue`` gives in closed form; ``compare`` reads it
-from there, and ``ppt`` keeps the dense route for arbitrary matrices.
+from there.  ``ppt`` takes the spectrum of any matrix's partial transpose
+from ``density.hermitian_eigenvalues``, one connected block at a time: an
+EC matrix's splits into blocks of at most 2 rows at D=2.
 
 References: A. Peres, Phys. Rev. Lett. 77, 1413 (1996); M., P. and
 R. Horodecki, Phys. Lett. A 223, 1 (1996).
@@ -83,22 +85,3 @@ def ppt_report(rho: DensityMatrix) -> list[PptVerdict]:
 def any_npt(verdicts: list[PptVerdict]) -> bool:
     return any(v.verdict is PptOutcome.NPT_ENTANGLED for v in verdicts)
 
-
-def ph_determinants_2x2(rho: DensityMatrix) -> tuple[float, float]:
-    """The two 2x2 principal-minor determinants of the partially transposed
-    two-qubit matrix (transpose over the second party):
-
-        W1 on the outer block {(0,0),(1,1)}, W2 on the inner block
-        {(0,1),(1,0)}.
-
-    Both are real for Hermitian input; negativity of either is the
-    determinant form of the two-qubit test.
-    """
-    if rho.D != 2 or rho.N != 2:
-        raise ValueError(
-            f"determinant form is specific to D=2, N=2; got D={rho.D}, N={rho.N}"
-        )
-    t = partial_transpose(rho, PartySubset((1,), 2)).matrix
-    w1 = (t[0, 0] * t[3, 3] - t[0, 3] * t[3, 0]).real
-    w2 = (t[1, 1] * t[2, 2] - t[1, 2] * t[2, 1]).real
-    return float(w1), float(w2)

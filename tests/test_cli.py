@@ -12,15 +12,25 @@ import pytest
 
 from causal_sep import cli, density
 from causal_sep.criterion import classify
-from causal_sep.density import DensityMatrix, bell_state, matrix_to_payload, save_matrix
+from causal_sep.density import (
+    DensityMatrix,
+    PartySubset,
+    bell_state,
+    matrix_to_payload,
+    partial_transpose,
+    save_matrix,
+)
 from causal_sep.ec_family import (
     ECClass,
     ECParams,
     Mixing,
+    all_variants,
     build_ec_matrix,
+    ec_min_eigenvalue,
     threshold,
 )
 from causal_sep.config_calculus import CouplingMode
+from causal_sep.ppt import PPT_TOL
 
 from conftest import random_state, run_cli
 
@@ -615,6 +625,26 @@ def test_ppt_report_all_subsets(tmp_path, capsys):
     assert all(c["conclusive"] is False for c in payload["checks"])
 
 
+@pytest.mark.parametrize(
+    "p, verdict", [("0.3", "ppt_separable_consistent"), ("0.6+0.3j", "npt_entangled")]
+)
+def test_ppt_subset_at_1024_dims_matches_the_dense_eigensolve(tmp_path, capsys, p, verdict):
+    # the partial transpose of an EC file at D=2 splits into 512 blocks of
+    # 2x2, each solved on its own; one dense eigvalsh is the oracle
+    matrix_file = str(tmp_path / "cap.json")
+    argv = ["ec", "build", "--class", "a", "--mixing", "strong", "--D", "2", "--N", "10",
+            "--p", p, "--out", matrix_file]
+    assert run_cli(argv, capsys)[0] == 0
+    code, out, _ = run_cli(["ppt", "--input", matrix_file, "--subset", "0,5"], capsys)
+    assert code == 0
+    (check,) = json.loads(out)["checks"]
+    pt = partial_transpose(density.load_matrix(matrix_file), PartySubset((0, 5), 10))
+    dense = np.linalg.eigvalsh(pt.matrix)[0]
+    assert abs(check["min_eigenvalue"] - dense) <= 1e-12
+    assert check["verdict"] == verdict
+    assert (dense < -PPT_TOL) == (verdict == "npt_entangled")
+
+
 # ---------------------------------------------------------------------------
 # compare / duality / crossover
 # ---------------------------------------------------------------------------
@@ -647,6 +677,62 @@ def test_compare_b_rejects_m_abs_out_of_range(capsys, m_abs):
     assert err == f"error: m_abs must be an integer in 1..N-1=2, got {m_abs}\n"
     # an in-range --m-abs takes no part in the payload
     assert run_cli(argv + ["--m-abs", "1"], capsys)[1] == run_cli(argv + ["--m-abs", "2"], capsys)[1]
+
+
+def _compare_per_point(args):
+    """``cmd_compare`` with every grid point building, normalizing and
+    classifying its own matrix, class b too, and the trace read off it."""
+    variant = cli._variant(args)
+    if variant[0] is ECClass.B:
+        threshold(*variant, args.D, args.N, args.m_abs)
+    name = cli.variant_name(*variant)
+    rows, disagreements = [], 0
+    for p in cli._grid(args):
+        params = cli._params(variant, args, complex(p))
+        rho = build_ec_matrix(params)
+        tr = rho.trace()
+        if not rho.normalized:
+            if tr <= 1e-300:
+                raise ValueError(f"matrix trace vanishes at p={p!r}; shrink the p range")
+            rho = DensityMatrix._adopt(rho.D, rho.N, rho.matrix / tr, True, hermitian=True)
+        causal = classify(rho, variant[2]).overall
+        npt = ec_min_eigenvalue(params) / tr < -PPT_TOL
+        agree = (causal.value == "entangled") == npt
+        disagreements += not agree
+        ppt_side = "npt_entangled" if npt else "ppt_separable_consistent"
+        rows.append([name, args.D, args.N, p, causal.value, ppt_side, agree])
+    header = ["variant", "D", "N", "p", "causal", "ppt", "agree"]
+    return cli._rows_payload(args, "compare", header, rows, variant=name, D=args.D, N=args.N,
+                             disagreements=disagreements)
+
+
+# class b: (steps, p-start, p-end) grids, the ones that reach p = 1, where
+# the trace vanishes, marked; class a: grids over |p| and over a phase flip
+COMPARE_GRIDS = {
+    "a": [("41", "0", "1", False), ("21", "-1", "1", False), ("11", "0.3", "-0.9", False)],
+    "b": [("41", "0", "0.95", False), ("21", "0", "1", True), ("41", "0", "1", True),
+          ("5", "1", "0", True), ("9", "0.5", "0.9", False), ("11", "0.05", "0.95", False)],
+}
+
+
+@pytest.mark.parametrize("D, N", [(2, 2), (2, 3), (3, 3), (3, 4)])
+@pytest.mark.parametrize("variant", all_variants(), ids=lambda v: "-".join(x.value for x in v))
+def test_compare_equals_the_per_point_route(monkeypatch, capsys, D, N, variant):
+    # class b builds and classifies one matrix per call; the payload, or the
+    # error naming the first p whose trace vanishes, is the per-point route's
+    for steps, start, end, vanishes in COMPARE_GRIDS[variant[0].value]:
+        for fmt in ("json", "csv"):
+            argv = ["compare", "--class", variant[0].value, "--mixing", variant[1].value,
+                    "--coupling", variant[2].value, "--D", str(D), "--N", str(N),
+                    "--steps", steps, "--p-start", start, "--p-end", end, "--format", fmt]
+            if variant[0] is ECClass.B:
+                argv += ["--m-abs", "1"]
+            got = run_cli(argv, capsys)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "cmd_compare", _compare_per_point)
+                want = run_cli(argv, capsys)
+            assert got == want, (steps, start, end, fmt)
+            assert got[0] == (1 if vanishes else 0)
 
 
 def test_duality_payload(capsys):

@@ -162,6 +162,94 @@ def test_eigenvalues_ascending_and_sum_to_trace():
     assert float(np.sum(eigs)) == pytest.approx(rho.trace(), abs=1e-10)
 
 
+# ---------------------------------------------------------------------------
+# the eigensolve one connected block at a time
+# ---------------------------------------------------------------------------
+
+def _agrees_with_dense_solve(rho):
+    """hermitian_eigenvalues against one dense eigvalsh: same length, ascending,
+    within 1e-14 of the spectral scale; returns the number of blocks."""
+    got = hermitian_eigenvalues(rho)
+    want = np.linalg.eigvalsh(rho.matrix)
+    assert got.shape == want.shape
+    assert np.all(np.diff(got) >= 0)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    return density._components(rho.matrix != 0).max() + 1
+
+
+@pytest.mark.parametrize("D, N", [(2, 2), (2, 5), (3, 3), (2, 10)])
+def test_eigensolve_of_a_dense_matrix_is_the_dense_solve(D, N):
+    # one component: the matrix goes to eigvalsh as it is, and the search
+    # holds boolean arrays only, no second complex D^N x D^N array
+    rho = random_hermitian(D, N, np.random.default_rng(D * 100 + N))
+    tracemalloc.start()
+    try:
+        got = hermitian_eigenvalues(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == np.linalg.eigvalsh(rho.matrix).tobytes()
+    assert peak < rho.matrix.nbytes / 4 + 2**16  # 2 bytes an entry, and small arrays
+
+
+@pytest.mark.parametrize("D, N", [(2, 3), (2, 6), (3, 3), (4, 3)])
+@pytest.mark.parametrize("variant", all_variants(), ids=lambda v: "-".join(x.value for x in v))
+def test_eigensolve_of_ec_partial_transposes_matches_the_dense_solve(D, N, variant):
+    rng = np.random.default_rng(10 * D + N)
+    for _ in range(3):
+        if variant[0] is ECClass.A:
+            prm = ECParams(*variant, D, N, rng.uniform() * np.exp(2j * np.pi * rng.uniform()))
+        else:
+            prm = ECParams(*variant, D, N, rng.uniform(), tuple(rng.integers(0, 2, N)))
+        rho = build_ec_matrix(prm)
+        for S in canonical_subsets(N):
+            assert _agrees_with_dense_solve(partial_transpose(rho, S)) > 1, (prm.p, S)
+
+
+@pytest.mark.parametrize("kind", ["phi+", "phi-", "psi+", "psi-"])
+def test_eigensolve_of_bell_states(kind):
+    rho = bell_state(kind)
+    assert _agrees_with_dense_solve(rho) == 3
+    pt = partial_transpose(rho, PartySubset((1,), 2))
+    assert _agrees_with_dense_solve(pt) == 3
+    assert list(hermitian_eigenvalues(pt)) == [-0.5, 0.5, 0.5, 0.5]
+
+
+def test_eigensolve_of_a_permuted_block_diagonal_matrix():
+    rng = np.random.default_rng(29)
+    sizes = [1, 1, 2, 2, 3, 3, 4, 8, 8]
+    arr = np.zeros((32, 32), dtype=np.complex128)
+    lo = 0
+    for size in sizes:
+        raw = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        arr[lo : lo + size, lo : lo + size] = raw + raw.conj().T
+        lo += size
+    perm = rng.permutation(32)
+    rho = DensityMatrix(2, 5, arr[perm][:, perm], normalized=False)
+    assert _agrees_with_dense_solve(rho) == len(sizes)
+
+
+def test_eigensolve_of_diagonal_path_and_zero_row_patterns():
+    rng = np.random.default_rng(31)
+    diag = DensityMatrix(3, 3, np.diag(rng.normal(size=27)), normalized=False)
+    assert _agrees_with_dense_solve(diag) == 27
+    assert np.array_equal(hermitian_eigenvalues(diag), np.sort(np.diag(diag.matrix).real))
+    # a path is one component, found one index per frontier
+    off = rng.normal(size=26) + 1j * rng.normal(size=26)
+    arr = np.diag(rng.normal(size=27)) + np.diag(off, 1) + np.diag(off.conj(), -1)
+    path = DensityMatrix(3, 3, arr, normalized=False)
+    assert _agrees_with_dense_solve(path) == 1
+    assert hermitian_eigenvalues(path).tobytes() == np.linalg.eigvalsh(arr).tobytes()
+    arr[13, 14] = arr[14, 13] = 0.0  # cut in two
+    assert _agrees_with_dense_solve(DensityMatrix(3, 3, arr, normalized=False)) == 2
+    # a row of zeros is a component of its own, with eigenvalue 0
+    dense = random_hermitian(2, 4, rng).matrix.copy()
+    dense[5, :] = dense[:, 5] = 0.0
+    zero_row = DensityMatrix(2, 4, dense, normalized=False)
+    assert _agrees_with_dense_solve(zero_row) == 2
+    assert 0.0 in hermitian_eigenvalues(zero_row)
+
+
 @pytest.mark.parametrize("D, N", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (4, 3), (2, 5)])
 def test_derived_matrices_stay_hermitian_exactly(D, N):
     # why hermitian_eigenvalues needs no check of its own: every matrix the

@@ -527,6 +527,38 @@ def test_build_equals_two_kron_sum_bit_for_bit(monkeypatch, D, N, variant):
             assert np.array_equal(got, want), (prm.p, prm.b_sites, budget)
 
 
+@pytest.mark.parametrize("D, N", [(2, 2), (2, 5), (3, 3), (4, 3), (5, 2), (2, 8)])
+@pytest.mark.parametrize("variant", all_variants(), ids=lambda v: "-".join(x.value for x in v))
+def test_build_equals_its_conjugate_transpose_bit_for_bit(D, N, variant):
+    # build_ec_matrix adopts its matrix with no Hermiticity scan; the real
+    # parts match bit for bit, the imaginary parts up to the sign of a zero
+    rng = np.random.default_rng(1000 + 10 * D + N)
+    for prm in _sample_params(variant, D, N, rng):
+        m = build_ec_matrix(prm).matrix
+        h = m.conj().T
+        assert np.array_equal(m.real.view(np.int64), h.real.view(np.int64)), (prm.p, prm.b_sites)
+        assert np.array_equal(m, h), (prm.p, prm.b_sites)
+
+
+@pytest.mark.parametrize("D, N", [(2, 2), (2, 5), (3, 3), (4, 3), (2, 10)])
+@pytest.mark.parametrize("variant", all_variants(), ids=lambda v: "-".join(x.value for x in v))
+def test_operator_trace_is_the_dense_trace_bit_for_bit(D, N, variant):
+    # compare reads the class-b trace at each p off the site factors
+    rng = np.random.default_rng(2000 + 10 * D + N)
+    for prm in _sample_params(variant, D, N, rng):
+        assert ec_operator(prm).trace() == build_ec_matrix(prm).trace(), (prm.p, prm.b_sites)
+
+
+def test_build_checks_the_site_factors_are_finite(monkeypatch):
+    # with the scan gone, this is the build's finiteness check
+    good = ec_family.ec_operator(params(D=3, N=3, p=0.4))
+    bad = ec_family.KronSum(3, 3, good.diag_sites, good.off_sites.copy())
+    bad.off_sites[1, 1, 0] = np.nan
+    monkeypatch.setattr(ec_family, "ec_operator", lambda prm: bad)
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        build_ec_matrix(params(D=3, N=3, p=0.4))
+
+
 def test_build_memory_bound_at_2048():
     # the two whole products peaked at 2.25x the matrix (144 MiB for 64 MiB)
     prm = params(mixing=STRONG, D=2, N=11, p=0.3 + 0.4j)

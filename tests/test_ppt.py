@@ -14,13 +14,7 @@ from causal_sep.density import (
     partial_transpose,
 )
 from causal_sep.ec_family import ECClass, ECParams, Mixing, all_variants, build_ec_matrix
-from causal_sep.ppt import (
-    PptOutcome,
-    any_npt,
-    ph_determinants_2x2,
-    ppt_check,
-    ppt_report,
-)
+from causal_sep.ppt import PptOutcome, any_npt, ppt_check, ppt_report
 
 from conftest import run_cli
 
@@ -69,6 +63,22 @@ def test_report_covers_canonical_subsets():
     report = ppt_report(maximally_mixed(2, 3))
     assert [v.subset.members for v in report] == [(0,), (0, 1), (0, 2)]
     assert not any_npt(report)
+
+
+def ph_determinants_2x2(rho: DensityMatrix) -> tuple[float, float]:
+    """The two 2x2 principal-minor determinants of the partially transposed
+    two-qubit matrix (transpose over the second party): W1 on the outer
+    block {(0,0),(1,1)}, W2 on the inner block {(0,1),(1,0)}.  Both are real
+    for Hermitian input; negativity of either is the determinant form of the
+    two-qubit test, an oracle for the eigenvalue form."""
+    if rho.D != 2 or rho.N != 2:
+        raise ValueError(
+            f"determinant form is specific to D=2, N=2; got D={rho.D}, N={rho.N}"
+        )
+    t = partial_transpose(rho, S1).matrix
+    w1 = (t[0, 0] * t[3, 3] - t[0, 3] * t[3, 0]).real
+    w2 = (t[1, 1] * t[2, 2] - t[1, 2] * t[2, 1]).real
+    return float(w1), float(w2)
 
 
 def test_ph_determinants_examples():
