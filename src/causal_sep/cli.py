@@ -60,12 +60,8 @@ SCORE_BATCH = 16
 # ---------------------------------------------------------------------------
 
 def _json_payload(payload: dict, report: CriterionReport | None = None) -> Iterable[str]:
-    """One JSON line; a ``report``'s to_dict() keys follow the payload's, and
-    its scores are written a batch at a time."""
-    values = () if report is None else (report.P_ignorance, report.P_transition, report.W)
-    if not all(np.isfinite(v).all() for v in values):
-        # json.dumps spells non-finite floats its own way (NaN, Infinity)
-        payload, report = {**payload, **report.to_dict()}, None
+    """One JSON line: json.dumps of ``payload`` updated with ``report.to_dict()``,
+    byte for byte, the report's scores written from its arrays a batch at a time."""
     if report is None:
         return json.dumps(payload, separators=(",", ":")) + "\n"
     head = {**payload, "mode": report.mode.value, "overall": report.overall.value}
@@ -74,10 +70,10 @@ def _json_payload(payload: dict, report: CriterionReport | None = None) -> Itera
 
 
 def _json_scores(report: CriterionReport) -> Iterator[str]:
-    for k, lines in enumerate(_score_batches(report, ",", _JSON_SCORE_FIELDS)):
+    for k, cells in enumerate(_score_batches(report, ",", _JSON_SCORE_FIELDS, json.dumps)):
         if k:
             yield ","
-        yield ",".join(lines)
+        yield ",".join(map("".join, cells))
 
 
 def _cell(x) -> str:
@@ -94,7 +90,7 @@ def _csv_payload(
     header: list[str], rows: list[list], report: CriterionReport | None = None
 ) -> Iterable[str]:
     """CSV text: the header, the rows, then one line per score of ``report``,
-    a batch at a time."""
+    a batch at a time, each joined from its pieces with no string per line."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -102,7 +98,8 @@ def _csv_payload(
         writer.writerow([_cell(x) for x in row])
     if report is None:
         return buf.getvalue()
-    return chain([buf.getvalue()], map("".join, _score_batches(report, ";", _CSV_SCORE_FIELDS)))
+    batches = _score_batches(report, ";", _CSV_SCORE_FIELDS)
+    return chain([buf.getvalue()], map("".join, map(chain.from_iterable, batches)))
 
 
 def _row_payload(args, command: str, header: list[str], row: list, **extra) -> str:
@@ -131,27 +128,27 @@ _JSON_SCORE_FIELDS = (
 _CSV_SCORE_FIELDS = ("", ",", ",", ",", ",", ",", "\n")
 
 
-def _score_batches(report: CriterionReport, sep: str, fields: tuple[str, ...]):
-    """The score lines of ``report`` in report order, as one iterator per
-    batch of ``SCORE_BATCH`` configurations: the six cells of a score between
-    ``fields``, labels joined by ``sep``, floats as repr writes them.  Each
-    batch converts its own rows at once, formats each distinct float of a
-    column once and zips the columns; no Python code runs per score."""
+def _score_batches(report: CriterionReport, sep: str, fields: tuple[str, ...], nonfinite=repr):
+    """The scores of ``report`` in report order, one iterator of line pieces
+    per batch of ``SCORE_BATCH`` configurations: the six cells of a score
+    between ``fields``, labels joined by ``sep``, floats by ``float_texts``.
+    Each batch converts its own rows at once, formats each distinct float of
+    a column once and zips the columns; no Python code runs per score."""
     subsets = [sep.join(map(str, s.members)) + fields[2] for s in report.subsets]
     verdicts = [fields[5] + v.value + fields[6] for v in ScoreVerdict]  # by the entangled flag
     per_config = lambda cells: chain.from_iterable(map(repeat, cells, repeat(len(subsets))))
     for lo in range(0, len(report.configs), SCORE_BATCH):
         rows = slice(lo, lo + SCORE_BATCH)
         configs = report.configs[rows].tolist()
-        yield map("".join, zip(
+        yield zip(
             per_config(fields[0] + sep.join(map(str, c)) + fields[1] for c in configs),
             cycle(subsets),
-            per_config(x + fields[3] for x in float_texts(report.P_ignorance[rows])),
-            float_texts(report.P_transition[rows].ravel()),
+            per_config(x + fields[3] for x in float_texts(report.P_ignorance[rows], nonfinite)),
+            float_texts(report.P_transition[rows].ravel(), nonfinite),
             repeat(fields[4]),
-            float_texts(report.W[rows].ravel()),
+            float_texts(report.W[rows].ravel(), nonfinite),
             map(verdicts.__getitem__, report.entangled[rows].ravel().tolist()),
-        ))
+        )
 
 
 # ---------------------------------------------------------------------------

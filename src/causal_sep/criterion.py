@@ -173,10 +173,12 @@ def _report(
     step = max(1, GATHER_BYTES // (GATHER_CELL_BYTES * partners * (rho.N + len(subsets))))
     p_ign = np.empty(len(configs))
     p_trans = np.empty((len(configs), len(subsets)))
-    for lo in range(0, len(configs), step):
-        chunk = slice(lo, lo + step)
-        p_ign[chunk], p_trans[chunk] = _gather(rho, configs[chunk], in_subset, mode)
-    w = p_ign[:, None] - p_trans
+    # a score that overflows reads inf, and W = inf - inf nan, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, len(configs), step):
+            chunk = slice(lo, lo + step)
+            p_ign[chunk], p_trans[chunk] = _gather(rho, configs[chunk], in_subset, mode)
+        w = p_ign[:, None] - p_trans
     entangled = w < -W_TOL
     overall = (
         OverallVerdict.ENTANGLED

@@ -259,7 +259,7 @@ _ENTRIES = re.compile(
 )
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
 # json reads the integer token -0 as +0.0, numpy's parser as -0.0
-_INTEGER_MINUS_ZERO = re.compile(rb"-0[ \t\n\r,\]]")
+_INTEGER_MINUS_ZERO = re.compile(rb"-0(?=[ \t\n\r,\]])")
 # Bytes of entries text per slice of the parser (about; a slice ends with a pair)
 PARSE_SLICE_BYTES = 2**20
 # Floats per chunk of the writer (even: whole pairs)
@@ -295,12 +295,15 @@ def _entries_text(flat: np.ndarray) -> Iterator[str]:
         yield "],[".join(map(",".join, zip(floats, floats)))
 
 
-def float_texts(values: np.ndarray) -> list[str]:
+def float_texts(values: np.ndarray, nonfinite=repr) -> list[str]:
     """``list(map(repr, values.tolist()))`` for a 1-d float64 array, with
-    repr called once per distinct value: the values are keyed on their bit
-    patterns, so 0.0 and -0.0 (equal as floats) keep their own texts."""
+    repr called once per distinct value, keyed on its bit pattern (0.0 and
+    -0.0 keep their own texts), and ``nonfinite`` in place of repr for a
+    non-finite one (``json.dumps`` spells NaN, Infinity, -Infinity)."""
     distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
     texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
+    odd = ~np.isfinite(distinct.view(np.float64))
+    texts[odd] = list(map(nonfinite, distinct[odd].view(np.float64).tolist()))
     return texts[inverse].tolist()
 
 
@@ -377,30 +380,26 @@ def _split_entries(data: bytes) -> tuple[dict, int, int] | None:
 
 def _parse_pairs(data: bytes, start: int, end: int, size: int) -> np.ndarray | None:
     """The ``size`` numbers of the matched entries text ``data[start:end]`` as
-    one float64 array, or None where numpy's parser may read a token otherwise
-    than json: a non-finite value, or the integer token -0.
+    one float64 array, read as json reads them, or None where a number is
+    beyond the float range: json's route then names the entry.
 
     The text is parsed in slices of about ``PARSE_SLICE_BYTES``, each cut at
     the comma after a pair's closing bracket, so no copy of the whole text is
-    made."""
+    made.  Each slice's integer tokens -0 become 0 before numpy reads it."""
     pairs = np.empty(size)
-    filled, lo, negative_zero = 0, start, False
+    filled, lo = 0, start
     while lo < end:
         close = data.find(b"]", lo + PARSE_SLICE_BYTES, end)
         cut = data.find(b",", close, end) if close >= 0 else -1
         hi = end if cut < 0 else cut
-        part = np.fromstring(data[lo:hi].translate(_BRACKETS_TO_SPACES), sep=",")
+        text = _INTEGER_MINUS_ZERO.sub(b"0", data[lo:hi])
+        part = np.fromstring(text.translate(_BRACKETS_TO_SPACES), sep=",")
         if not np.isfinite(part).all():
             return None
-        negative_zero |= (np.signbit(part) & (part == 0)).any()
         pairs[filled : filled + part.size] = part
         filled += part.size
         lo = hi + 1
-    if filled != size:
-        return None
-    if negative_zero and _INTEGER_MINUS_ZERO.search(data, start, end):
-        return None
-    return pairs
+    return pairs if filled == size else None
 
 
 def payload_to_matrix(payload: object, *, origin: str = "<payload>") -> DensityMatrix:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+from .config_calculus import check_dims
 from .density import (
     DensityMatrix,
     PartySubset,
@@ -77,8 +78,9 @@ def ppt_report(rho: DensityMatrix) -> list[PptVerdict]:
     """ppt_check over every canonical subset (proper subsets containing party 0).
 
     The partial-transpose spectrum over S equals the one over the complement
-    of S, so these representatives cover all splits.
+    of S, so these representatives cover all splits; N < 2 has none.
     """
+    check_dims(None, rho.N, N_min=2)
     return [ppt_check(rho, subset) for subset in canonical_subsets(rho.N)]
 
 

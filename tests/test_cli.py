@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -11,12 +12,13 @@ import numpy as np
 import pytest
 
 from causal_sep import cli, density
-from causal_sep.criterion import classify
+from causal_sep.criterion import CriterionReport, classify
 from causal_sep.density import (
     DensityMatrix,
     PartySubset,
     bell_state,
     matrix_to_payload,
+    maximally_mixed,
     partial_transpose,
     save_matrix,
 )
@@ -489,9 +491,11 @@ def test_classify_csv(tmp_path, capsys):
     assert lines[1].split(",")[5] == "m_entangled"
 
 
-def _classify_via_to_dict(rho, mode, fmt):
-    """The classify payload rendered from ConfigScore objects by json/csv."""
-    report = classify(rho, CouplingMode(mode))
+def _classify_via_to_dict(rho, mode, fmt, report=None):
+    """The classify payload rendered from ConfigScore objects by json/csv;
+    ``report`` stands in for classify's report of ``rho`` where given."""
+    if report is None:
+        report = classify(rho, CouplingMode(mode))
     if fmt == "json":
         payload = {"schema": "causal-sep/1", "command": "classify", "D": rho.D, "N": rho.N}
         payload.update(report.to_dict())
@@ -525,19 +529,75 @@ def test_classify_payload_matches_score_rendering(tmp_path, capsys, dims, mode, 
     assert out == _classify_via_to_dict(rho, mode, fmt)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_classify_payload_with_overflowing_scores(tmp_path, capsys, fmt):
-    # unit trace but huge coherences: |rho_jl|^2 overflows to inf, W to -inf
+def _overflowing_state():
+    """Unit trace but huge coherences: |rho_jl|^2 overflows to inf, W to -inf."""
     m = np.diag([0.25] * 4).astype(complex)
     m[0, 3] = m[3, 0] = 1e200
-    rho = DensityMatrix(D=2, N=2, matrix=m, normalized=True)
+    return DensityMatrix(D=2, N=2, matrix=m, normalized=True)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_classify_payload_with_overflowing_scores(tmp_path, capsys, fmt):
+    rho = _overflowing_state()
     matrix_file = str(tmp_path / "huge.json")
     save_matrix(rho, matrix_file)
-    code, out, _ = run_cli(["classify", "--input", matrix_file, "--format", fmt], capsys)
-    assert code == 0
+    code, out, err = run_cli(["classify", "--input", matrix_file, "--format", fmt], capsys)
+    assert (code, err) == (0, "")
     assert out == _classify_via_to_dict(rho, "free", fmt)
     assert ("-Infinity" if fmt == "json" else "-inf") in out
+
+
+def _non_finite_report(rho, mode):
+    """classify's report of ``rho`` with nan (both signs), inf and -inf
+    written into every float column, twice over in some batches."""
+    report = classify(rho, CouplingMode(mode))
+    nan, inf = float("nan"), float("inf")
+    p_ign, p_trans, w = report.P_ignorance.copy(), report.P_transition.copy(), report.W.copy()
+    p_ign[[0, 2, 3, 5]] = [nan, inf, -inf, inf]
+    p_trans[[0, 1, 1, 4, 7], [1, 0, 2, 2, 0]] = [inf, -inf, np.copysign(nan, -1.0), inf, nan]
+    w[[0, 2, 2, 6], [0, 0, 1, 2]] = [-inf, nan, -inf, inf]
+    return dataclasses.replace(report, P_ignorance=p_ign, P_transition=p_trans, W=w)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_classify_payload_with_non_finite_scores(tmp_path, capsys, monkeypatch, batch, fmt):
+    # 8 configurations x 7 subsets; json spells nan, inf and -inf as
+    # NaN, Infinity and -Infinity, csv as repr does
+    monkeypatch.setattr(cli, "SCORE_BATCH", batch)
+    rho = random_state(2, 4, np.random.default_rng(31))
+    report = _non_finite_report(rho, "free")
+    want = _classify_via_to_dict(rho, "free", fmt, report)
+    assert all(t in want for t in (["NaN", "Infinity", "-Infinity"] if fmt == "json"
+                                   else [",nan,", ",inf,", ",-inf,"]))
+    monkeypatch.setattr(cli, "load_matrix", lambda path: rho)
+    monkeypatch.setattr(cli, "classify", lambda rho, mode: report)
+    argv = ["classify", "--input", "state.json", "--format", fmt]
+    assert run_cli(argv, capsys) == (0, want, "")
+    target = tmp_path / "scores.out"
+    assert run_cli(argv + ["--out", str(target)], capsys) == (0, "", "")
+    assert target.read_bytes().decode() == want
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_classify_writes_without_score_objects(tmp_path, capsys, monkeypatch, fmt):
+    # the payload comes from the report's arrays, finite or not: neither
+    # to_dict nor the ConfigScore tuple is needed
+    states = [random_state(2, 4, np.random.default_rng(37)), _overflowing_state()]
+    wants = [_classify_via_to_dict(rho, "free", fmt) for rho in states]
+
+    def refuse(self):
+        raise AssertionError("classify built per-score objects")
+
+    monkeypatch.setattr(CriterionReport, "to_dict", refuse)
+    monkeypatch.setattr(CriterionReport, "scores", property(refuse))
+    for k, (rho, want) in enumerate(zip(states, wants)):
+        matrix_file = str(tmp_path / f"m{k}.json")
+        save_matrix(rho, matrix_file)
+        argv = ["classify", "--input", matrix_file, "--format", fmt]
+        assert run_cli(argv, capsys) == (0, want, "")
 
 
 @pytest.mark.parametrize("batch", [1, 7])
@@ -563,22 +623,24 @@ def test_classify_payload_across_score_batches(tmp_path, capsys, monkeypatch, ba
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_classify_formatting_memory_bound(tmp_path, capsys, monkeypatch, fmt):
     # D=2, N=8: 128 configurations x 127 subsets, 8 batches of 16
-    # configurations; the parent's joined payload peaked near 3x its size
+    # configurations; a payload joined whole peaks near 3x its size, as it
+    # once did for every report and later for one with a non-finite score
     rho = random_state(2, 8, np.random.default_rng(28))
-    report = classify(rho, CouplingMode.N_FREE)
     monkeypatch.setattr(cli, "load_matrix", lambda path: rho)
-    monkeypatch.setattr(cli, "classify", lambda rho, mode: report)
     target = tmp_path / "scores.out"
-    tracemalloc.start()
-    try:
-        code, _, _ = run_cli(
-            ["classify", "--input", "state.json", "--format", fmt, "--out", str(target)], capsys
-        )
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert peak < target.stat().st_size / 2, f"formatting peaked at {peak / 2**20:.2f} MiB"
+    for report in [classify(rho, CouplingMode.N_FREE), _non_finite_report(rho, "free")]:
+        monkeypatch.setattr(cli, "classify", lambda rho, mode: report)
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(
+                ["classify", "--input", "state.json", "--format", fmt, "--out", str(target)],
+                capsys,
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < target.stat().st_size / 2, f"formatting peaked at {peak / 2**20:.2f} MiB"
 
 
 def test_classify_error_leaves_out_file(tmp_path, capsys):
@@ -623,6 +685,20 @@ def test_ppt_report_all_subsets(tmp_path, capsys):
     payload = json.loads(out)
     assert [c["subset"] for c in payload["checks"]] == [[0], [0, 1], [0, 2]]
     assert all(c["conclusive"] is False for c in payload["checks"])
+
+
+@pytest.mark.parametrize("N", [0, 1])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_ppt_refuses_fewer_than_two_parties(tmp_path, capsys, N, fmt):
+    # as classify does: a file of one party or none has no split to check
+    matrix_file = str(tmp_path / "m.json")
+    save_matrix(maximally_mixed(2, N), matrix_file)
+    for subset in ([], ["--subset", "0"]):
+        argv = ["ppt", "--input", matrix_file, "--format", fmt] + subset
+        assert run_cli(argv, capsys) == (1, "", f"error: expected an integer N >= 2, got N={N}\n")
+    code, out, err = run_cli(["classify", "--input", matrix_file, "--format", fmt], capsys)
+    assert (code, out) == (1, "")
+    assert f"got N={N}" in err
 
 
 @pytest.mark.parametrize(

@@ -451,9 +451,14 @@ def _encode(pairs, D, N, style):
     return f'{{\n "D": {D},\n "N": {N},\n "normalized": false,\n "entries": [\n{body}\n]\n}}'
 
 
+def _refuse_json_route(*args, **kwargs):
+    raise AssertionError("the json route ran on a file of number pairs")
+
+
 @pytest.mark.parametrize("style", ["compact", "default", "indent"])
 @pytest.mark.parametrize("with_int_minus_zero", [False, True])
-def test_load_bitwise_equal_to_json_route(tmp_path, style, with_int_minus_zero):
+def test_load_bitwise_equal_to_json_route(tmp_path, monkeypatch, style, with_int_minus_zero):
+    monkeypatch.setattr(density, "payload_to_matrix", _refuse_json_route)
     rng = np.random.default_rng(23)
     tokens = _EDGE_TOKENS + ["-0"] * with_int_minus_zero
     for k, (D, N) in enumerate([(2, 1), (2, 2), (3, 2), (1, 0)] * 3):
@@ -469,11 +474,14 @@ def test_load_bitwise_equal_to_json_route(tmp_path, style, with_int_minus_zero):
 @pytest.mark.parametrize("style", ["compact", "default", "indent", "spaced"])
 def test_load_in_small_slices_equals_json_route(tmp_path, monkeypatch, slice_bytes, style):
     # every slice edge falls after a pair's "]" and its comma, whatever the
-    # whitespace around them; an integer -0 in any slice is still seen
+    # whitespace around them; an integer -0 in any slice reads as json reads
+    # it, on the array route
     monkeypatch.setattr(density, "PARSE_SLICE_BYTES", slice_bytes)
+    monkeypatch.setattr(density, "payload_to_matrix", _refuse_json_route)
     rng = np.random.default_rng(29)
     for k, (D, N) in enumerate([(2, 1), (2, 2), (3, 2), (2, 3), (1, 0)] * 2):
-        pairs = _edge_entries(_EDGE_TOKENS + ["-0"] * (k >= 5), D**N, rng)
+        minus_zero = ["-0", "-0", "1e-0", "-0e-0"] * (k >= 5)
+        pairs = _edge_entries(_EDGE_TOKENS + minus_zero, D**N, rng)
         path = tmp_path / f"m{k}.json"
         path.write_text(_encode(pairs, D, N, style))
         want = np.array(json.loads(path.read_text())["entries"], dtype=np.float64)
@@ -491,10 +499,7 @@ def test_load_reads_number_pairs_without_json_entries(tmp_path, monkeypatch):
         DensityMatrix(2, 1, signed_zeros),  # -0.0 tokens, which json reads as -0.0 too
     ]
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the json route ran on a file of number pairs")
-
-    monkeypatch.setattr(density, "payload_to_matrix", refuse)
+    monkeypatch.setattr(density, "payload_to_matrix", _refuse_json_route)
     for k, rho in enumerate(states):
         path = tmp_path / f"m{k}.json"
         save_matrix(rho, str(path))
@@ -502,6 +507,33 @@ def test_load_reads_number_pairs_without_json_entries(tmp_path, monkeypatch):
 
 
 _GOOD = '{"D":2,"N":1,"normalized":true,"entries":[[0.5,0.0],[0.1,-0.2],[0.1,0.2],[0.5,0.0]]}'
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("[0.1,-0.2],[0.1,0.2]", "[-0,-0.2],[-0,0.2]"),  # before ","
+        ("[0.5,0.0]]", "[0.5,-0]]"),  # before "]", at the end of the entries
+        ("[0.5,0.0],", "[0.5,-0],"),
+        ("[0.5,0.0],", "[0.5,-0 ],"),  # before whitespace
+        ("[0.5,0.0],", "[0.5,-0\t],"),
+        ("[0.5,0.0]]", "[0.5,-0\r\n]\n]"),
+        ("[0.1,-0.2],[0.1,0.2]", "[-0\n,-0.2],[-0 ,0.2]"),
+        ("[0.1,-0.2],[0.1,0.2]", "[1e-0,-2e-0],[10E-1,2e-0]"),  # in an exponent
+        ("[0.5,0.0],", "[0.5,-0e-0],"),  # a float token: json reads -0.0
+        ("[0.5,0.0],[0.1,-0.2],[0.1,0.2],[0.5,0.0]", "[0.5,-0],[-0,-0],[-0,-0],[0.5,-0]"),
+    ],
+)
+def test_load_integer_minus_zero_without_json_route(tmp_path, monkeypatch, old, new):
+    # json reads the integer token -0 as +0.0; the array route must too
+    assert old in _GOOD
+    text = _GOOD.replace(old, new, 1)
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    monkeypatch.setattr(density, "payload_to_matrix", _refuse_json_route)
+    want = np.array(json.loads(text)["entries"], dtype=np.float64)
+    got = load_matrix(str(path)).matrix.view(np.float64).reshape(-1, 2)
+    assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -65,6 +65,13 @@ def test_report_covers_canonical_subsets():
     assert not any_npt(report)
 
 
+@pytest.mark.parametrize("D, N", [(2, 0), (3, 0), (2, 1), (3, 1)])
+def test_report_refuses_fewer_than_two_parties(D, N):
+    # no split exists, so there is nothing to report as PPT-consistent
+    with pytest.raises(ValueError, match=f"^expected an integer N >= 2, got N={N}$"):
+        ppt_report(maximally_mixed(D, N))
+
+
 def ph_determinants_2x2(rho: DensityMatrix) -> tuple[float, float]:
     """The two 2x2 principal-minor determinants of the partially transposed
     two-qubit matrix (transpose over the second party): W1 on the outer
