@@ -174,14 +174,16 @@ def check_dims(
 ) -> None:
     """Reject a D or N (None: not checked) that is not an int, bools
     included, or is below its minimum; with ``capped``, also a D^N above
-    DIM_CAP.  Far above the cap (N log2 D > 64) D**N is never formed."""
+    DIM_CAP.  Far above the cap (N log2 D > 64) D**N is never formed.  D = 1
+    is capped as D = 2, since its 2^N party subsets are still enumerated."""
     for name, value, minimum in (("D", D, D_min), ("N", N, N_min)):
         if value is not None and (
             not isinstance(value, int) or isinstance(value, bool) or value < minimum
         ):
             raise ValueError(f"expected an integer {name} >= {minimum}, got {name}={value!r}")
     if capped:
-        far = N * math.log2(D) > 64
-        if far or D**N > DIM_CAP:
+        far = N * math.log2(max(D, 2)) > 64
+        if far or max(D, 2) ** N > DIM_CAP:
             size = f"{D}^{N}" if far else D**N
-            raise ValueError(f"D^N = {size} exceeds the dimension cap {DIM_CAP}")
+            what = f"N = {N} parties exceed" if D == 1 else f"D^N = {size} exceeds"
+            raise ValueError(f"{what} the dimension cap {DIM_CAP}")

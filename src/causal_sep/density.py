@@ -267,7 +267,7 @@ WRITE_CHUNK = 2**16
 
 
 def matrix_to_payload(rho: DensityMatrix) -> dict:
-    """The file's object with the entries as nested lists; ``matrix_json``
+    """The file's object with the entries as nested lists; ``matrix_chunks``
     writes the same text without building them."""
     entries = np.ascontiguousarray(rho.matrix).view(np.float64).reshape(-1, 2).tolist()
     return {"D": rho.D, "N": rho.N, "normalized": rho.normalized, "entries": entries}
@@ -307,15 +307,10 @@ def float_texts(values: np.ndarray, nonfinite=repr) -> list[str]:
     return texts[inverse].tolist()
 
 
-def matrix_json(rho: DensityMatrix) -> str:
-    """The matrix file text: ``matrix_chunks`` joined."""
-    return "".join(matrix_chunks(rho))
-
-
 def save_matrix(rho: DensityMatrix, path: str) -> None:
-    text = matrix_json(rho)  # before open: an error leaves the file as it was
+    chunks = matrix_chunks(rho)  # before open: a refused matrix leaves the file as it was
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 def load_matrix(path: str) -> DensityMatrix:
@@ -325,9 +320,11 @@ def load_matrix(path: str) -> DensityMatrix:
     flag) is rejected in ``DensityMatrix``'s words, after the path: the
     violated invariant and its magnitude.
 
-    Entries written as [re, im] pairs of JSON numbers are parsed straight
-    into one float64 array.  Any other file goes through ``json.loads`` and
-    ``payload_to_matrix``, which load any valid JSON and name each error.
+    A top-level "entries" array of [re, im] pairs of JSON numbers is parsed
+    straight into one float64 array, in json's words on error.  Only a file
+    that breaks the format, or spells the key "entries" with an escape, goes
+    through ``json.loads`` and ``payload_to_matrix``.  Of a file with two
+    defects, the routes may name different ones.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -337,55 +334,60 @@ def load_matrix(path: str) -> DensityMatrix:
         D, N, normalized = _header(header, path)
         dim = D**N
         _check_count(data.count(b"[", start, end) - 1, dim, path)
-        pairs = _parse_pairs(data, start, end, 2 * dim * dim)
-        if pairs is not None:
-            del data  # the invariant checks run without the file's bytes
-            return _from_pairs(pairs, D, N, normalized, path)
+        pairs = _parse_pairs(data, start, end, 2 * dim * dim, path)
+        del data  # the invariant checks run without the file's bytes
+        return _from_pairs(pairs, D, N, normalized, path)
+    return payload_to_matrix(_loads(data, path), origin=path)
+
+
+def _loads(data: bytes, origin: str) -> object:
+    """``json.loads`` of UTF-8 ``data``, each error named after ``origin``."""
     try:
         # newlines translated as a text-mode read does, so the line and
         # column of a parse error are as json reports them for such a read
-        payload = json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+        return json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
     except json.JSONDecodeError as exc:
         raise MatrixFormatError(
-            f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}"
+            f"{origin}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
     except ValueError as exc:  # not UTF-8, or an integer past the str digit limit
-        raise MatrixFormatError(f"{path}: {exc}") from None
-    return payload_to_matrix(payload, origin=path)
+        raise MatrixFormatError(f"{origin}: {exc}") from None
 
 
 def _split_entries(data: bytes) -> tuple[dict, int, int] | None:
-    """(header, start, end) when ``data[start:end]``, the top-level "entries"
-    value of the file, is an array of number pairs; the header is the file
-    parsed with that value replaced by [].  None when the text alone does not
-    settle it."""
-    found = _ENTRIES.search(data)
-    if found is None:
-        return None
-    start, end = found.span(1)
-    head = data[:start] + b"[]" + data[end:]
-    # one "entries" token and no escapes: no other key spells "entries", so
-    # header["entries"] == [] holds only if the match is the top-level value
-    if head.count(b'"entries"') != 1 or b"\\" in head:
-        return None
+    """(header, start, end) when ``data[start:end]``, an ``_ENTRIES`` match, is
+    the "entries" value json keeps, whatever the escapes, nesting or duplicate
+    keys; the header is json's reading with it replaced.  With every match k
+    replaced by [k], json keeps [k] only from match k or a literal [k]; with
+    match k alone replaced by [~k], only from match k."""
+    spans = [found.span(1) for found in _ENTRIES.finditer(data)]
+    every = _read_marked(data, spans, range(len(spans))) if spans else None
+    kept = every.get("entries") if isinstance(every, dict) else None
+    for k, span in enumerate(spans):
+        header = _read_marked(data, [span], [~k]) if kept == [k] else None
+        if isinstance(header, dict) and header.get("entries") == [~k]:
+            return header, *span
+    return None
+
+
+def _read_marked(data: bytes, spans: list[tuple[int, int]], marks: Iterable[int]) -> object:
+    """json's reading of ``data`` with each span replaced by [mark], or None."""
+    bounds = [0, *itertools.chain.from_iterable(spans), len(data)]
+    outside = [data[lo:hi] for lo, hi in zip(bounds[::2], bounds[1::2])]
+    text = b"".join(piece + b"[%d]" % mark for piece, mark in zip(outside, marks)) + outside[-1]
     try:
-        header = json.loads(head.decode("utf-8"))
+        return json.loads(text.decode("utf-8"))
     except ValueError:
         return None
-    if not (isinstance(header, dict) and header.get("entries") == []):
-        return None
-    return header, start, end
 
 
-def _parse_pairs(data: bytes, start: int, end: int, size: int) -> np.ndarray | None:
+def _parse_pairs(data: bytes, start: int, end: int, size: int, origin: str) -> np.ndarray:
     """The ``size`` numbers of the matched entries text ``data[start:end]`` as
-    one float64 array, read as json reads them, or None where a number is
-    beyond the float range: json's route then names the entry.
-
-    The text is parsed in slices of about ``PARSE_SLICE_BYTES``, each cut at
-    the comma after a pair's closing bracket, so no copy of the whole text is
-    made.  Each slice's integer tokens -0 become 0 before numpy reads it."""
+    one float64 array, read as json reads them, in slices of about
+    ``PARSE_SLICE_BYTES``, each cut at the comma after a pair's closing
+    bracket, so no copy of the whole text is made.  Each slice's integer
+    tokens -0 become 0 before numpy reads it.  A number beyond the float range
+    reads as inf; json reads the first such pair alone, so the error is json's."""
     pairs = np.empty(size)
     filled, lo = 0, start
     while lo < end:
@@ -395,47 +397,39 @@ def _parse_pairs(data: bytes, start: int, end: int, size: int) -> np.ndarray | N
         text = _INTEGER_MINUS_ZERO.sub(b"0", data[lo:hi])
         part = np.fromstring(text.translate(_BRACKETS_TO_SPACES), sep=",")
         if not np.isfinite(part).all():
-            return None
+            j = int(np.argmin(np.isfinite(part))) // 2  # the slice's first pair with an inf
+            found = next(itertools.islice(re.finditer(_PAIR, data[lo:hi]), j, None))
+            pair = _loads(found.group(), origin)
+            raise MatrixFormatError(f"{origin}: entry {filled // 2 + j} is not finite: {pair!r}")
         pairs[filled : filled + part.size] = part
         filled += part.size
         lo = hi + 1
-    return pairs if filled == size else None
+    return pairs
 
 
 def payload_to_matrix(payload: object, *, origin: str = "<payload>") -> DensityMatrix:
+    """The matrix of a parsed matrix file; the first bad entry is named."""
     D, N, normalized = _header(payload, origin)
     dim = D**N
     entries = payload["entries"]
     got = len(entries) if isinstance(entries, list) else type(entries).__name__
     _check_count(got, dim, origin)
-    try:
-        pairs = np.array(entries, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        pairs = np.empty(0)
-    # numpy reads booleans and numeric strings as numbers, so the types are
-    # scanned too; on any doubt the per-entry walk names the first bad entry
-    if not (
-        pairs.shape == (dim * dim, 2)
-        and np.isfinite(pairs).all()
-        and set(map(type, entries)) == {list}
-        and set(map(type, itertools.chain.from_iterable(entries))) <= {int, float}
-    ):
-        for k, pair in enumerate(entries):
-            if (
-                not isinstance(pair, list)
-                or len(pair) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-            ):
-                raise MatrixFormatError(
-                    f"{origin}: entry {k} must be a [re, im] pair of numbers, got {pair!r}"
-                )
-            try:
-                finite = math.isfinite(pair[0]) and math.isfinite(pair[1])
-            except OverflowError:  # an integer beyond the float range
-                finite = False
-            if not finite:
-                raise MatrixFormatError(f"{origin}: entry {k} is not finite: {pair!r}")
-    return _from_pairs(pairs.reshape(-1), D, N, normalized, origin)
+    for k, pair in enumerate(entries):
+        if (
+            not isinstance(pair, list)
+            or len(pair) != 2
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
+        ):
+            raise MatrixFormatError(
+                f"{origin}: entry {k} must be a [re, im] pair of numbers, got {pair!r}"
+            )
+        try:
+            finite = math.isfinite(pair[0]) and math.isfinite(pair[1])
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise MatrixFormatError(f"{origin}: entry {k} is not finite: {pair!r}")
+    return _from_pairs(np.array(entries, dtype=np.float64).reshape(-1), D, N, normalized, origin)
 
 
 def _header(payload: object, origin: str) -> tuple[int, int, bool]:

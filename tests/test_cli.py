@@ -907,6 +907,20 @@ def test_classify_over_dimension_cap_file(tmp_path, capsys):
     assert err == f"error: {huge}: D^N = 10^30000000 exceeds the dimension cap 4096\n"
 
 
+@pytest.mark.parametrize("N", [70, 10**8])
+def test_one_level_file_with_many_parties_is_over_the_cap(tmp_path, capsys, N):
+    # a 1x1 matrix, but 2^(N-1) party subsets to score and 2N tensor axes
+    path = tmp_path / "d1.json"
+    path.write_text(f'{{"D": 1, "N": {N}, "normalized": true, "entries": [[1, 0]]}}\n')
+    for command in (["classify"], ["ppt"], ["ppt", "--subset", "0"]):
+        code, out, err = run_cli([*command, "--input", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {path}: N = {N} parties exceed the dimension cap 4096\n"
+        )
+
+
 def test_build_over_dimension_cap_flags(capsys):
     code, out, err = run_cli(
         ["ec", "build", "--class", "a", "--mixing", "weak", "--D", "10", "--N", "5000", "--p", "0.3"],

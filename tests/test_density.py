@@ -19,7 +19,6 @@ from causal_sep.density import (
     float_texts,
     hermitian_eigenvalues,
     load_matrix,
-    matrix_json,
     matrix_to_payload,
     maximally_mixed,
     partial_transpose,
@@ -308,6 +307,17 @@ def test_load_over_dimension_cap_fails_fast(tmp_path):
         payload_to_matrix(payload)
 
 
+def test_load_one_level_parties_within_the_cap(tmp_path):
+    # D = 1 is capped as D = 2: the 1x1 matrix stands for 2^N party subsets
+    path = tmp_path / "d1.json"
+    path.write_text('{"D":1,"N":12,"normalized":true,"entries":[[1,0]]}')
+    assert load_matrix(str(path)).N == 12
+    path.write_text('{"D":1,"N":13,"normalized":true,"entries":[[1,0]]}')
+    with pytest.raises(MatrixFormatError) as exc:
+        load_matrix(str(path))
+    assert str(exc.value) == f"{path}: N = 13 parties exceed the dimension cap 4096"
+
+
 def test_maximally_mixed_dimension_cap():
     assert maximally_mixed(2, 12).dim == 4096
     with pytest.raises(ValueError, match=re.escape("D^N = 8192 exceeds the dimension cap 4096")):
@@ -414,6 +424,8 @@ def _json_route(path):
         raise MatrixFormatError(
             f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer past the str digit limit
+        raise MatrixFormatError(f"{path}: {exc}") from None
     return payload_to_matrix(payload, origin=str(path))
 
 
@@ -574,14 +586,45 @@ def test_load_errors_match_json_route(tmp_path, old, new):
         ('"D":2,', '"\\u0065ntries":[[1,0]],"D":2,'),
         ("0.1,-0.2", " 0.1 ,\r\n\t-0.2 "),
         ("[0.5,0.0]]", "[0.5,-0]]"),
+        ('"normalized"', '"\\u006eormalized"'),  # a header key spelled with an escape
+        ('"D":2,', '"x":"a\\"\\\\b\\u00e9","D":2,'),  # escapes in a string value
+        ("]]}", ']],"x":[{"entries":[]},{"entries":[[1,0],[2,0]]}]}'),
+        ('"D":2,', '"\\u0065ntries":{"entries":[[1,0]]},"D":2,'),
     ],
 )
-def test_load_unusual_json_equals_json_route(tmp_path, old, new):
+def test_load_unusual_json_equals_json_route(tmp_path, monkeypatch, old, new):
     path = tmp_path / "odd.json"
     path.write_text(_GOOD.replace(old, new, 1))
-    want, got = _json_route(path), load_matrix(str(path))
+    want = _json_route(path)
+    if old != '"entries"':  # an escaped "entries" key is the one spelling json alone reads
+        monkeypatch.setattr(density, "payload_to_matrix", _refuse_json_route)
+    got = load_matrix(str(path))
     assert got.matrix.tobytes() == want.matrix.tobytes()
     assert got.normalized == want.normalized
+
+
+_OUT_OF_RANGE = ["1e400", "-1e400", "1" + "0" * 400, "-1" + "0" * 5000]
+
+
+@pytest.mark.parametrize("slice_bytes", [1, 7, 50, density.PARSE_SLICE_BYTES])
+@pytest.mark.parametrize("style", ["compact", "spaced"])
+def test_load_out_of_range_entry_errors_match_json_route(tmp_path, monkeypatch, slice_bytes, style):
+    # numpy reads each of these as inf; the pair alone is json's to name
+    monkeypatch.setattr(density, "PARSE_SLICE_BYTES", slice_bytes)
+    monkeypatch.setattr(density, "payload_to_matrix", _refuse_json_route)
+    pairs = _edge_entries(_EDGE_TOKENS + ["-0"], 4, np.random.default_rng(31))
+    path = tmp_path / "bad.json"
+    for token in _OUT_OF_RANGE:
+        for k in range(len(pairs)):
+            for part in (0, 1):
+                bad = [list(pair) for pair in pairs]
+                bad[k][part] = token
+                path.write_text(_encode(bad, 2, 2, style))
+                with pytest.raises(MatrixFormatError) as want:
+                    _json_route(path)
+                with pytest.raises(MatrixFormatError) as got:
+                    load_matrix(str(path))
+                assert str(got.value) == str(want.value)
 
 
 def test_load_error_messages(tmp_path):
@@ -663,7 +706,7 @@ def test_matrix_json_equals_json_dumps(D, N):
     ec = build_ec_matrix(ECParams(ECClass.A, Mixing.STRONG, CouplingMode.N_FREE, D, max(N, 2), 0.3 + 0.4j))
     for m in (rho, ec, maximally_mixed(D, N)):
         want = json.dumps(matrix_to_payload(m), separators=(",", ":")) + "\n"
-        assert matrix_json(m) == want
+        assert "".join(density.matrix_chunks(m)) == want
 
 
 def test_matrix_chunks_are_whole_write_chunks(monkeypatch):
@@ -709,14 +752,12 @@ def test_matrix_chunks_keep_signed_zeros_apart(monkeypatch):
     rho = DensityMatrix(D=2, N=1, matrix=m, normalized=True)
     want = json.dumps(matrix_to_payload(rho), separators=(",", ":")) + "\n"
     assert want == '{"D":2,"N":1,"normalized":true,"entries":[[0.5,0.0],[0.0,-0.0],[-0.0,0.0],[0.5,0.0]]}\n'
-    assert matrix_json(rho) == want
+    assert "".join(density.matrix_chunks(rho)) == want
 
 
 def test_save_rejects_non_finite_entries(tmp_path):
     arr = np.array([[np.inf, 0.0], [0.0, 0.5]], dtype=complex)
     rho = DensityMatrix._adopt(2, 1, arr, False, hermitian=True)
-    with pytest.raises(ValueError, match="matrix entries must be finite"):
-        matrix_json(rho)
     with pytest.raises(ValueError, match="matrix entries must be finite"):
         density.matrix_chunks(rho)  # before the first chunk is asked for
     path = tmp_path / "m.json"
@@ -726,16 +767,33 @@ def test_save_rejects_non_finite_entries(tmp_path):
     assert path.read_text() == "kept"
 
 
-def test_load_memory_bound_at_1024(tmp_path):
+def test_load_memory_bound_at_1024(tmp_path, monkeypatch):
     rho = build_ec_matrix(ECParams(ECClass.A, Mixing.STRONG, CouplingMode.N_FREE, 2, 10, 0.3 + 0.4j))
     path = tmp_path / "cap.json"
-    save_matrix(rho, str(path))
-    del rho
     tracemalloc.start()
     try:
-        loaded = load_matrix(str(path))
-        peak = tracemalloc.get_traced_memory()[1]
+        save_matrix(rho, str(path))
+        saved = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert loaded.dim == 1024
-    assert peak < 64 * 2**20, f"load peaked at {peak / 2**20:.1f} MiB"
+    # the text joined whole would take twice the file
+    assert saved < path.stat().st_size / 2, f"save peaked at {saved / 2**20:.1f} MiB"
+    want = rho.matrix.tobytes()
+    del rho
+    text = path.read_text()
+    monkeypatch.setattr(density, "payload_to_matrix", _refuse_json_route)
+    for old, new in [
+        ("", ""),  # the file as saved
+        ('"normalized"', '"\\u006eormalized"'),
+        ('"D":2,', '"x":{"entries":[[1,0]]},"D":2,'),
+        ('"D":2,', '"entries":[[1,0]],"D":2,'),
+    ]:
+        path.write_text(text.replace(old, new, 1))
+        tracemalloc.start()
+        try:
+            loaded = load_matrix(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.matrix.tobytes() == want
+        assert peak < 64 * 2**20, f"load of {new!r} peaked at {peak / 2**20:.1f} MiB"
