@@ -22,12 +22,9 @@ from .density import (
     DensityMatrix,
     MatrixFormatError,
     PartySubset,
-    bell_state,
-    basis_state,
     canonical_subsets,
     hermitian_eigenvalues,
     load_matrix,
-    maximally_mixed,
     partial_transpose,
     save_matrix,
 )
@@ -46,7 +43,6 @@ from .ec_family import (
     duality_residuals,
     ec_min_eigenvalue,
     ec_operator,
-    renormalized_threshold,
     threshold,
 )
 from .ppt import PptOutcome, PptVerdict, ppt_check, ppt_report

@@ -45,6 +45,7 @@ from .ec_family import (
     duality_residuals,
     ec_min_eigenvalue,
     ec_operator,
+    m_abs_values,
     threshold,
     variant_name,
 )
@@ -313,7 +314,7 @@ def _threshold_rows(variant: Variant, D: int, N: int, m_abs: int | None) -> list
     if variant[0] is ECClass.A:
         m_values = [None]
     else:
-        m_values = [m_abs] if m_abs is not None else list(range(1, N))
+        m_values = [m_abs] if m_abs is not None else m_abs_values(N)
     rows = []
     for m in m_values:
         th = threshold(*variant, D, N, m)
@@ -373,7 +374,9 @@ def _grid(args) -> list[float]:
         raise ValueError(f"--steps {args.steps} exceeds the grid limit {ENUMERATION_CAP}")
     if args.steps == 0:
         return []
-    return [float(p) for p in np.linspace(args.p_start, args.p_end, args.steps)]
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN point is ECParams' error
+        grid = np.linspace(args.p_start, args.p_end, args.steps)
+    return [float(p) for p in grid]
 
 
 def _b_closed_W_binding(params: ECParams, m_abs: int) -> float | None:

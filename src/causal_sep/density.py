@@ -61,10 +61,6 @@ class PartySubset:
             raise ValueError(f"party index out of range in {members!r} for N={self.N}")
         object.__setattr__(self, "members", members)
 
-    def complement(self) -> "PartySubset":
-        rest = tuple(i for i in range(self.N) if i not in self.members)
-        return PartySubset(rest, self.N)
-
 
 def canonical_subsets(N: int) -> list[PartySubset]:
     """Proper non-empty subsets containing party 0, ordered by (size, lex).
@@ -176,33 +172,20 @@ def config_to_index(c: Configuration, D: int) -> int:
 # partial transpose and spectra
 # ---------------------------------------------------------------------------
 
-def transpose_parties(rho: DensityMatrix, parties: Iterable[int]) -> DensityMatrix:
-    """Transpose the row/column indices of the given parties (any subset).
-
-    The empty set is the identity and the full set is the plain transpose;
-    proper subsets realize the partial transpose.  Entries are permuted, not
-    recomputed, so Hermiticity and the trace are preserved exactly.
-    """
-    chosen = sorted(set(int(i) for i in parties))
-    if chosen and (chosen[0] < 0 or chosen[-1] >= rho.N):
-        raise ValueError(f"party index out of range in {chosen!r} for N={rho.N}")
-    if not chosen:
-        return rho
-    D, N = rho.D, rho.N
-    arr = rho.matrix.reshape((D,) * (2 * N))
-    axes = list(range(2 * N))
-    for n in chosen:
-        axes[n], axes[N + n] = axes[N + n], axes[n]
-    out = arr.transpose(axes).reshape(rho.dim, rho.dim)
-    return DensityMatrix._adopt(D, N, out, rho.normalized, hermitian=True)
-
-
 def partial_transpose(rho: DensityMatrix, subset: PartySubset) -> DensityMatrix:
+    """Transpose the row and column indices of the parties in ``subset``.
+    Entries are permuted, not recomputed, so Hermiticity and the trace are
+    preserved exactly."""
     if subset.N != rho.N:
         raise ValueError(
             f"subset is over N={subset.N} parties but the matrix has N={rho.N}"
         )
-    return transpose_parties(rho, subset.members)
+    D, N = rho.D, rho.N
+    axes = list(range(2 * N))
+    for n in subset.members:
+        axes[n], axes[N + n] = axes[N + n], axes[n]
+    out = rho.matrix.reshape((D,) * (2 * N)).transpose(axes).reshape(rho.dim, rho.dim)
+    return DensityMatrix._adopt(D, N, out, rho.normalized, hermitian=True)
 
 
 def hermitian_eigenvalues(rho: DensityMatrix) -> np.ndarray:
@@ -352,6 +335,8 @@ def _loads(data: bytes, origin: str) -> object:
         ) from exc
     except ValueError as exc:  # not UTF-8, or an integer past the str digit limit
         raise MatrixFormatError(f"{origin}: {exc}") from None
+    except RecursionError:
+        raise MatrixFormatError(f"{origin}: JSON nesting too deep to parse") from None
 
 
 def _split_entries(data: bytes) -> tuple[dict, int, int] | None:
@@ -377,7 +362,7 @@ def _read_marked(data: bytes, spans: list[tuple[int, int]], marks: Iterable[int]
     text = b"".join(piece + b"[%d]" % mark for piece, mark in zip(outside, marks)) + outside[-1]
     try:
         return json.loads(text.decode("utf-8"))
-    except ValueError:
+    except (ValueError, RecursionError):
         return None
 
 
@@ -464,42 +449,3 @@ def _from_pairs(pairs: np.ndarray, D: int, N: int, normalized: bool, origin: str
         return DensityMatrix._adopt(D, N, arr, normalized)
     except ValueError as exc:
         raise MatrixFormatError(f"{origin}: {exc}") from None
-
-
-# ---------------------------------------------------------------------------
-# stock states
-# ---------------------------------------------------------------------------
-
-def maximally_mixed(D: int, N: int) -> DensityMatrix:
-    check_dims(D, N, N_min=0, capped=True)
-    dim = D**N
-    return DensityMatrix(D=D, N=N, matrix=np.eye(dim) / dim, normalized=True)
-
-
-def basis_state(labels: Configuration, D: int) -> DensityMatrix:
-    """Pure computational-basis state |labels><labels|."""
-    N = len(labels)
-    dim = D**N
-    arr = np.zeros((dim, dim), dtype=np.complex128)
-    i = config_to_index(labels, D)
-    arr[i, i] = 1.0
-    return DensityMatrix(D=D, N=N, matrix=arr, normalized=True)
-
-
-_BELL_KINDS = {
-    "phi+": (0, 3, 1.0),
-    "phi-": (0, 3, -1.0),
-    "psi+": (1, 2, 1.0),
-    "psi-": (1, 2, -1.0),
-}
-
-
-def bell_state(kind: str) -> DensityMatrix:
-    """One of the four two-qubit Bell states; kind in {phi+, phi-, psi+, psi-}."""
-    if kind not in _BELL_KINDS:
-        raise ValueError(f"unknown Bell state {kind!r}; pick one of {sorted(_BELL_KINDS)}")
-    i, j, sign = _BELL_KINDS[kind]
-    arr = np.zeros((4, 4), dtype=np.complex128)
-    arr[i, i] = arr[j, j] = 0.5
-    arr[i, j] = arr[j, i] = sign * 0.5
-    return DensityMatrix(D=2, N=2, matrix=arr, normalized=True)

@@ -63,13 +63,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 
 import numpy as np
 
-from .config_calculus import CouplingMode, check_dims
+from .config_calculus import ENUMERATION_CAP, CouplingMode, check_dims
 from .density import TRACE_TOL, DensityMatrix
 
 # Byte budget of one block of rows of a dense EC build
@@ -310,7 +311,7 @@ def closed_form_W(
     diverge.
     """
     D, N = params.D, params.N
-    x = float(D - 1)
+    x = _float_base(D, N)
     if params.ec_class is ECClass.A:
         a = params.p_abs
         weak = params.mixing is Mixing.WEAK
@@ -409,6 +410,25 @@ def _b_bracket_exponent(mixing: Mixing, coupling: CouplingMode, N: int) -> int:
     return -1 if mixing is Mixing.WEAK else (2 * N - 1)
 
 
+def _float_base(D: int, N: int) -> float:
+    """The base D - 1 of the closed forms as a float, after ``check_dims``.
+    A D or N whose D - 1 or exponent 2N - 1 lies beyond the float range is
+    refused: the closed forms compute in floats."""
+    check_dims(D, N, D_min=2, N_min=2)
+    for name, value in (("D", D - 1), ("N", 2 * N - 1)):
+        if value > sys.float_info.max:
+            raise ValueError(f"{name} is beyond the float range of the closed forms")
+    return float(D - 1)
+
+
+def m_abs_values(N: int) -> range:
+    """The |m| = 1..N-1 of the b-class windows, refused past
+    ``ENUMERATION_CAP`` values before any is computed."""
+    if N - 1 > ENUMERATION_CAP:
+        raise ValueError(f"N - 1 = {N - 1} values of |m| exceed the limit {ENUMERATION_CAP}")
+    return range(1, N)
+
+
 def threshold(
     ec_class: ECClass,
     mixing: Mixing,
@@ -422,8 +442,7 @@ def threshold(
     Class a yields a SINGLE threshold in |p| (m_abs is ignored).  Class b
     yields a WINDOW per |m| = m_abs in 1..N-1.
     """
-    check_dims(D, N, D_min=2, N_min=2)
-    x = float(D - 1)
+    x = _float_base(D, N)
     if ec_class is ECClass.A:
         v = _logistic(_a_exponent(mixing, coupling, N), x)
         return ThresholdResult(
@@ -481,7 +500,7 @@ def classify_ec(params: ECParams, m_abs: int | None = None) -> ECVerdict:
 
 
 # ---------------------------------------------------------------------------
-# dualities, crossover, renormalized threshold
+# dualities and crossover
 # ---------------------------------------------------------------------------
 
 def duality_residuals(D: int, N: int) -> tuple[float, float]:
@@ -493,8 +512,8 @@ def duality_residuals(D: int, N: int) -> tuple[float, float]:
     coupled-variant roots in exchanged order (th1 <-> th2), for every
     |m| = 1..N-1.  Both residuals are expected to vanish to 1e-14.
     """
-    check_dims(D, N, D_min=2, N_min=2)
-    x = float(D - 1)
+    x = _float_base(D, N)
+    m_values = m_abs_values(N)
     inv = 1.0 / x
 
     r_a = 0.0
@@ -504,7 +523,7 @@ def duality_residuals(D: int, N: int) -> tuple[float, float]:
         r_a = max(r_a, abs(lhs - rhs))
 
     r_b = 0.0
-    for m in range(1, N):
+    for m in m_values:
         for mix_free, mix_coupled in (
             (Mixing.WEAK, Mixing.STRONG),
             (Mixing.STRONG, Mixing.WEAK),
@@ -525,19 +544,3 @@ def crossover_N(D: int) -> float:
     (the scale degenerates to 0 at D = 2)."""
     check_dims(D, None, D_min=3)
     return math.log(D - 1)
-
-
-def renormalized_threshold(gamma: float, m: int, N: int, D: int, alpha: float) -> float:
-    """Threshold 1/(1 + (gamma * m!/N!)**(1/N) * (D-1)**alpha).
-
-    Factorials go through lgamma in log space, so N in the hundreds is
-    exact enough and never overflows.  Requires gamma > 0 and 1 <= m <= N.
-    """
-    check_dims(D, N, D_min=2)
-    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= N:
-        raise ValueError(f"m must be an integer in 1..N={N}, got {m!r}")
-    if not gamma > 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma!r}")
-    t = (math.log(gamma) + math.lgamma(m + 1) - math.lgamma(N + 1)) / N
-    t += alpha * math.log(D - 1)
-    return _inv1p_exp(t)

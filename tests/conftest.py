@@ -1,6 +1,7 @@
 import numpy as np
 
-from causal_sep.density import DensityMatrix, config_to_index
+from causal_sep.config_calculus import check_dims
+from causal_sep.density import DensityMatrix, PartySubset, config_to_index, partial_transpose
 
 
 def random_hermitian(D, N, rng, scale=1.0):
@@ -41,3 +42,60 @@ def is_completely_orthogonal(a, b):
     if len(a) != len(b):
         raise ValueError(f"configurations have different lengths: {len(a)} vs {len(b)}")
     return all(x != y for x, y in zip(a, b))
+
+
+def complement(subset):
+    """The parties of range(N) outside ``subset``, as a PartySubset."""
+    rest = tuple(i for i in range(subset.N) if i not in subset.members)
+    return PartySubset(rest, subset.N)
+
+
+def transpose_parties(rho, parties):
+    """Oracle: transpose the row and column indices of any set of parties.
+    The empty set is the identity, the full set the plain transpose and a
+    proper subset ``partial_transpose``."""
+    chosen = set(parties)
+    if not chosen:
+        return rho
+    if chosen == set(range(rho.N)):
+        return DensityMatrix(D=rho.D, N=rho.N, matrix=rho.matrix.T, normalized=rho.normalized)
+    return partial_transpose(rho, PartySubset(tuple(chosen), rho.N))
+
+
+# ---------------------------------------------------------------------------
+# stock states
+# ---------------------------------------------------------------------------
+
+def maximally_mixed(D, N):
+    check_dims(D, N, N_min=0, capped=True)
+    dim = D**N
+    return DensityMatrix(D=D, N=N, matrix=np.eye(dim) / dim, normalized=True)
+
+
+def basis_state(labels, D):
+    """Pure computational-basis state |labels><labels|."""
+    N = len(labels)
+    dim = D**N
+    arr = np.zeros((dim, dim), dtype=np.complex128)
+    i = config_to_index(labels, D)
+    arr[i, i] = 1.0
+    return DensityMatrix(D=D, N=N, matrix=arr, normalized=True)
+
+
+_BELL_KINDS = {
+    "phi+": (0, 3, 1.0),
+    "phi-": (0, 3, -1.0),
+    "psi+": (1, 2, 1.0),
+    "psi-": (1, 2, -1.0),
+}
+
+
+def bell_state(kind):
+    """One of the four two-qubit Bell states; kind in {phi+, phi-, psi+, psi-}."""
+    if kind not in _BELL_KINDS:
+        raise ValueError(f"unknown Bell state {kind!r}; pick one of {sorted(_BELL_KINDS)}")
+    i, j, sign = _BELL_KINDS[kind]
+    arr = np.zeros((4, 4), dtype=np.complex128)
+    arr[i, i] = arr[j, j] = 0.5
+    arr[i, j] = arr[j, i] = sign * 0.5
+    return DensityMatrix(D=2, N=2, matrix=arr, normalized=True)

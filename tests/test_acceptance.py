@@ -24,10 +24,8 @@ from causal_sep.criterion import (
 )
 from causal_sep.density import (
     PartySubset,
-    bell_state,
     hermitian_eigenvalues,
-    maximally_mixed,
-    transpose_parties,
+    partial_transpose,
 )
 from causal_sep.ec_family import (
     ECClass,
@@ -41,7 +39,13 @@ from causal_sep.ec_family import (
 )
 from causal_sep.ppt import any_npt, ppt_report
 
-from conftest import random_hermitian
+from conftest import (
+    bell_state,
+    complement,
+    maximally_mixed,
+    random_hermitian,
+    transpose_parties,
+)
 
 FREE = CouplingMode.N_FREE
 COUPLED = CouplingMode.N_COUPLED
@@ -246,8 +250,9 @@ def test_criterion_7_random_matrix_invariants():
         s1 = tuple(i for i in range(N) if mask1 >> i & 1)
         s2 = tuple(i for i in range(N) if mask2 >> i & 1)
 
-        moved = transpose_parties(rho, s1)
-        assert np.array_equal(transpose_parties(moved, s1).matrix, rho.matrix)
+        subset = PartySubset(s1, N)
+        moved = partial_transpose(rho, subset)
+        assert np.array_equal(partial_transpose(moved, subset).matrix, rho.matrix)
         chained = transpose_parties(moved, s2)
         merged = tuple(sorted(set(s1) ^ set(s2)))
         assert np.array_equal(chained.matrix, transpose_parties(rho, merged).matrix)
@@ -255,16 +260,13 @@ def test_criterion_7_random_matrix_invariants():
         assert abs(moved.trace() - rho.trace()) <= 1e-13
         assert np.max(np.abs(moved.matrix - moved.matrix.conj().T)) == 0.0
 
-        subset = PartySubset(s1, N)
         eig = hermitian_eigenvalues(moved)
-        eig_c = hermitian_eigenvalues(
-            transpose_parties(rho, subset.complement().members)
-        )
+        eig_c = hermitian_eigenvalues(partial_transpose(rho, complement(subset)))
         assert np.allclose(eig, eig_c, atol=1e-10)
 
         j = tuple(int(x) for x in rng.integers(0, D, size=N))
         w = causal_W(rho, j, subset, FREE).W
-        w_c = causal_W(rho, j, subset.complement(), FREE).W
+        w_c = causal_W(rho, j, complement(subset), FREE).W
         assert abs(w - w_c) <= 1e-12
     _done(7, "partial-transpose and criterion invariants", t0, 60.0)
 

@@ -16,9 +16,7 @@ from causal_sep.criterion import CriterionReport, classify
 from causal_sep.density import (
     DensityMatrix,
     PartySubset,
-    bell_state,
     matrix_to_payload,
-    maximally_mixed,
     partial_transpose,
     save_matrix,
 )
@@ -34,7 +32,7 @@ from causal_sep.ec_family import (
 from causal_sep.config_calculus import CouplingMode
 from causal_sep.ppt import PPT_TOL
 
-from conftest import random_state, run_cli
+from conftest import bell_state, maximally_mixed, random_state, run_cli
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +279,21 @@ def test_steps_over_the_grid_limit_fail_fast(capsys, command, steps):
     assert code == 1
     assert out == ""
     assert err == f"error: --steps {steps} exceeds the grid limit 1048576\n"
+
+
+@pytest.mark.parametrize("command", [["ec", "sweep"], ["compare"]])
+def test_overflowing_grid_is_refused_without_a_warning(capsys, command):
+    # the grid's step overflows to -inf, so its first point is NaN
+    argv = command + [
+        "--class", "a", "--mixing", "weak", "--D", "2", "--N", "2",
+        "--p-start=1e308", "--p-end=-1e308", "--steps", "3",
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: class-a mixing parameter needs |p| <= 1, got |p| = nan\n"
 
 
 def test_sweep_b_requires_m_abs(capsys):
@@ -861,6 +874,9 @@ def test_classify_huge_integer_entry(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+_DEEP = b"[" * 3000 + b"]" * 3000
+
+
 def _overflowing_entries(entry: str) -> bytes:
     return (
         '{"D":2,"N":1,"normalized":false,"entries":'
@@ -884,8 +900,14 @@ def _overflowing_entries(entry: str) -> bytes:
             b'{"D":2,"N":1,"normalized":true,"x":"\xff","entries":[[0.5,0],[0,0],[0,0],[0.5,0]]}',
             "'utf-8' codec can't decode byte 0xff in position 36: invalid start byte",
         ),
+        # json.loads raises RecursionError, not ValueError, past its stack depth
+        (
+            b'{"D":2,"N":1,"normalized":true,"x":%s,"entries":[[0.5,0],[0,0],[0,0],[0.5,0]]}' % _DEEP,
+            "JSON nesting too deep to parse",
+        ),
+        (b'{"D":2,"N":1,"normalized":true,"entries":%s}' % _DEEP, "JSON nesting too deep to parse"),
     ],
-    ids=["long-integer", "overflowing-asymmetry", "not-utf-8"],
+    ids=["long-integer", "overflowing-asymmetry", "not-utf-8", "deep-header", "deep-entries"],
 )
 def test_unreadable_entries_exit_2_naming_the_file(tmp_path, capsys, command, data, message):
     path = tmp_path / "m.json"
@@ -942,6 +964,65 @@ def test_sweep_over_dimension_cap_before_closed_form(capsys):
     assert out == ""
     assert "Traceback" not in err
     assert err == "error: D^N = 10^200 exceeds the dimension cap 4096\n"
+
+
+_HUGE = "1" + "0" * 400  # 10^400, beyond the float range
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["duality", "--D", _HUGE, "--N", "3"], "D"),
+        (["ec", "threshold", "--D", _HUGE, "--N", "3", "--format", "csv"], "D"),
+        (["ec", "threshold", "--class", "a", "--mixing", "weak", "--coupling", "free",
+          "--D", _HUGE, "--N", "3"], "D"),
+        (["ec", "threshold", "--class", "a", "--mixing", "weak", "--coupling", "free",
+          "--D", "3", "--N", _HUGE], "N"),
+        (["ec", "sweep", "--class", "a", "--mixing", "weak", "--D", _HUGE, "--N", "3",
+          "--steps", "2"], "D"),
+        (["compare", "--class", "b", "--mixing", "weak", "--D", _HUGE, "--N", "3",
+          "--m-abs", "1", "--steps", "2"], "D"),
+    ],
+    ids=["duality", "threshold-table", "threshold-a-D", "threshold-a-N", "sweep-a", "compare-b"],
+)
+def test_closed_forms_refuse_d_or_n_beyond_the_float_range(capsys, argv, name):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {name} is beyond the float range of the closed forms\n"
+
+
+def test_exact_commands_accept_d_beyond_the_float_range(capsys):
+    # the census is exact integer arithmetic and the crossover a log of an int
+    code, out, _ = run_cli(["config-count", "--D", _HUGE, "--N", "3"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["D"] == int(_HUGE)
+    assert payload["K"] + payload["K_bar"] == int(_HUGE) ** 3
+    code, out, _ = run_cli(["crossover", "--D", _HUGE], capsys)
+    assert code == 0
+    assert json.loads(out)["N_cr"] == pytest.approx(400 * math.log(10), rel=1e-15)
+
+
+@pytest.mark.parametrize("N", [2**20 + 2, 10**7])
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["ec", "threshold", "--format", "csv"],
+        ["ec", "threshold", "--class", "b", "--mixing", "weak", "--coupling", "free",
+         "--format", "csv"],
+        ["duality"],
+    ],
+    ids=["threshold-table", "threshold-b", "duality"],
+)
+def test_m_abs_values_over_the_limit_fail_fast(capsys, command, N):
+    # one row or one residual per |m| = 1..N-1: refused before the first
+    start = time.perf_counter()
+    code, out, err = run_cli(command + ["--D", "3", "--N", str(N)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err == f"error: N - 1 = {N - 1} values of |m| exceed the limit 1048576\n"
 
 
 def test_exit_usage_error(capsys):

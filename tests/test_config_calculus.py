@@ -21,9 +21,9 @@ from causal_sep.ec_family import (
     Mixing,
     crossover_N,
     duality_residuals,
-    renormalized_threshold,
     threshold,
 )
+from test_ec_family import renormalized_threshold
 
 FREE = CouplingMode.N_FREE
 COUPLED = CouplingMode.N_COUPLED

@@ -4,7 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, random_state
+from conftest import (
+    basis_state,
+    bell_state,
+    complement,
+    maximally_mixed,
+    random_hermitian,
+    random_state,
+)
 from causal_sep.config_calculus import CouplingMode
 from causal_sep.criterion import (
     GATHER_BYTES,
@@ -16,9 +23,6 @@ from causal_sep.criterion import (
 from causal_sep.density import (
     DensityMatrix,
     PartySubset,
-    basis_state,
-    bell_state,
-    maximally_mixed,
 )
 from causal_sep.ec_family import ECClass, ECParams, Mixing, build_ec_matrix
 from causal_sep.ppt import PptOutcome, ppt_check
@@ -96,7 +100,7 @@ def test_subset_complement_symmetry():
         rho = random_hermitian(2, 3, rng)
         s = PartySubset((0, 2), 3)
         a = causal_W(rho, (0, 1, 1), s, FREE).W
-        b = causal_W(rho, (0, 1, 1), s.complement(), FREE).W
+        b = causal_W(rho, (0, 1, 1), complement(s), FREE).W
         assert a == pytest.approx(b, abs=1e-12)
 
 

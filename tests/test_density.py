@@ -7,24 +7,28 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import element, random_hermitian
+from conftest import (
+    bell_state,
+    complement,
+    element,
+    maximally_mixed,
+    random_hermitian,
+    transpose_parties,
+)
 from causal_sep import density
 from causal_sep.density import (
     DensityMatrix,
     MatrixFormatError,
     PartySubset,
-    bell_state,
     canonical_subsets,
     config_to_index,
     float_texts,
     hermitian_eigenvalues,
     load_matrix,
     matrix_to_payload,
-    maximally_mixed,
     partial_transpose,
     payload_to_matrix,
     save_matrix,
-    transpose_parties,
 )
 from causal_sep.ec_family import ECClass, ECParams, Mixing, all_variants, build_ec_matrix
 from causal_sep.config_calculus import CouplingMode, enumerate_configurations
@@ -95,7 +99,7 @@ def test_element_examples():
 def test_party_subset_validation():
     s = PartySubset((2, 0), 4)
     assert s.members == (0, 2)
-    assert s.complement().members == (1, 3)
+    assert complement(s).members == (1, 3)
     with pytest.raises(ValueError):
         PartySubset((), 3)
     with pytest.raises(ValueError):
@@ -625,6 +629,12 @@ def test_load_out_of_range_entry_errors_match_json_route(tmp_path, monkeypatch, 
                 with pytest.raises(MatrixFormatError) as got:
                     load_matrix(str(path))
                 assert str(got.value) == str(want.value)
+
+
+def test_read_marked_refuses_deep_nesting():
+    # json.loads raises RecursionError, not ValueError, past its stack depth;
+    # the whole-file route then names the file (tests/test_cli.py)
+    assert density._read_marked(b"[" * 3000 + b"]" * 3000, [], []) is None
 
 
 def test_load_error_messages(tmp_path):

@@ -1,12 +1,14 @@
 import json
 import math
+import re
+import sys
 import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from causal_sep.config_calculus import CouplingMode
+from causal_sep.config_calculus import ENUMERATION_CAP, CouplingMode, check_dims
 from causal_sep import ec_family
 from causal_sep.criterion import causal_W
 from causal_sep.density import PartySubset, hermitian_eigenvalues
@@ -24,7 +26,7 @@ from causal_sep.ec_family import (
     duality_residuals,
     ec_min_eigenvalue,
     ec_operator,
-    renormalized_threshold,
+    m_abs_values,
     threshold,
 )
 
@@ -413,6 +415,48 @@ def test_crossover():
         crossover_N(2)
     with pytest.raises(ValueError, match="integer"):
         crossover_N(math.e + 1)  # non-integer D rejected, not rounded
+
+
+def test_closed_forms_refuse_d_or_n_beyond_the_float_range():
+    top = int(sys.float_info.max)  # an even integer
+    huge = 10**400
+    for call, name in (
+        (lambda: threshold(A, WEAK, FREE, huge, 3), "D"),
+        (lambda: threshold(B, WEAK, FREE, top + 2, 3, 1), "D"),
+        (lambda: threshold(A, WEAK, FREE, 3, huge), "N"),
+        (lambda: threshold(B, WEAK, FREE, 3, top // 2 + 1, 1), "N"),  # 2N - 1 = top + 1
+        (lambda: duality_residuals(huge, 3), "D"),
+        (lambda: closed_form_W(params(D=huge, N=3, p=0.3)), "D"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} is beyond the float range"):
+            call()
+    # at the edge of the range the logistic is still finite
+    assert 0.0 <= threshold(A, STRONG, FREE, top + 1, 3).p_th < 1e-100
+    assert threshold(B, WEAK, FREE, 3, top // 2, 1).window == (0.0, 1.0)
+
+
+def test_m_abs_values_cap():
+    assert m_abs_values(ENUMERATION_CAP + 1) == range(1, ENUMERATION_CAP + 1)
+    message = f"N - 1 = {ENUMERATION_CAP + 1} values of |m| exceed the limit {ENUMERATION_CAP}"
+    for call in (m_abs_values, lambda N: duality_residuals(3, N)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(ENUMERATION_CAP + 2)
+
+
+def renormalized_threshold(gamma, m, N, D, alpha):
+    """Threshold 1/(1 + (gamma * m!/N!)**(1/N) * (D-1)**alpha).
+
+    Factorials go through lgamma in log space, so N in the hundreds is
+    exact enough and never overflows.  Requires gamma > 0 and 1 <= m <= N.
+    """
+    check_dims(D, N, D_min=2)
+    if not isinstance(m, int) or isinstance(m, bool) or not 1 <= m <= N:
+        raise ValueError(f"m must be an integer in 1..N={N}, got {m!r}")
+    if not gamma > 0.0:
+        raise ValueError(f"gamma must be positive, got {gamma!r}")
+    t = (math.log(gamma) + math.lgamma(m + 1) - math.lgamma(N + 1)) / N
+    t += alpha * math.log(D - 1)
+    return ec_family._inv1p_exp(t)
 
 
 def test_renormalized_threshold():

@@ -7,16 +7,14 @@ from causal_sep.config_calculus import CouplingMode
 from causal_sep.density import (
     DensityMatrix,
     PartySubset,
-    bell_state,
     canonical_subsets,
     hermitian_eigenvalues,
-    maximally_mixed,
     partial_transpose,
 )
 from causal_sep.ec_family import ECClass, ECParams, Mixing, all_variants, build_ec_matrix
 from causal_sep.ppt import PptOutcome, any_npt, ppt_check, ppt_report
 
-from conftest import run_cli
+from conftest import bell_state, maximally_mixed, run_cli
 
 S1 = PartySubset((1,), 2)
 

@@ -26,10 +26,15 @@ from causal_sep.density import (
     load_matrix,
     partial_transpose,
     save_matrix,
-    transpose_parties,
 )
 
-from conftest import is_completely_orthogonal, random_hermitian, random_state
+from conftest import (
+    complement,
+    is_completely_orthogonal,
+    random_hermitian,
+    random_state,
+    transpose_parties,
+)
 
 FREE = CouplingMode.N_FREE
 COUPLED = CouplingMode.N_COUPLED
@@ -136,8 +141,8 @@ def test_transpose_complement_spectrum(dims, seed, mask):
     D, N = dims
     rho = random_hermitian(D, N, np.random.default_rng(seed))
     s = PartySubset(_subset_members(mask, N), N)
-    eig = hermitian_eigenvalues(transpose_parties(rho, s.members))
-    eig_c = hermitian_eigenvalues(transpose_parties(rho, s.complement().members))
+    eig = hermitian_eigenvalues(partial_transpose(rho, s))
+    eig_c = hermitian_eigenvalues(partial_transpose(rho, complement(s)))
     assert np.allclose(eig, eig_c, atol=1e-10)
 
 
@@ -154,7 +159,7 @@ def test_w_subset_complement_symmetry(dims, seed, mask, mode):
     j = _config(rng, D, N)
     s = PartySubset(_subset_members(mask, N), N)
     w = causal_W(rho, j, s, mode).W
-    w_c = causal_W(rho, j, s.complement(), mode).W
+    w_c = causal_W(rho, j, complement(s), mode).W
     assert abs(w - w_c) <= 1e-12
 
 
