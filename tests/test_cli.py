@@ -700,6 +700,35 @@ def test_ppt_report_all_subsets(tmp_path, capsys):
     assert all(c["conclusive"] is False for c in payload["checks"])
 
 
+def test_ppt_csv_payload(tmp_path, capsys):
+    # one line per cut: the subset's parties joined by ";", the minimum
+    # eigenvalue as a shortest round-trip float, "true"/"false" for conclusive
+    header = "subset,min_eigenvalue,verdict,conclusive\n"
+    bell, mixed, ec = (str(tmp_path / name) for name in ("bell.json", "mixed.json", "ec.json"))
+    save_matrix(bell_state("psi+"), bell)
+    save_matrix(maximally_mixed(2, 3), mixed)
+    argv = ["ec", "build", "--class", "a", "--mixing", "weak", "--coupling", "free",
+            "--D", "2", "--N", "3", "--p", "0.25", "--out", ec]
+    assert run_cli(argv, capsys)[0] == 0
+    assert run_cli(["ppt", "--input", bell, "--subset", "0", "--format", "csv"], capsys) == (
+        0, header + "0,-0.5,npt_entangled,true\n", "")
+    assert run_cli(["ppt", "--input", mixed, "--subset", "2,0", "--format", "csv"], capsys) == (
+        0, header + "0;2,0.125,ppt_separable_consistent,false\n", "")
+    assert run_cli(["ppt", "--input", mixed, "--format", "csv"], capsys) == (
+        0, header + "".join(f"{s},0.125,ppt_separable_consistent,false\n"
+                            for s in ("0", "0;1", "0;2")), "")
+    # the CSV lines carry the JSON payload's checks, cut for cut
+    code, out, _ = run_cli(["ppt", "--input", ec], capsys)
+    checks = json.loads(out)["checks"]
+    assert [c["subset"] for c in checks] == [[0], [0, 1], [0, 2]]
+    want = header + "".join(
+        f"{';'.join(map(str, c['subset']))},{c['min_eigenvalue']!r},{c['verdict']},"
+        f"{str(c['conclusive']).lower()}\n"
+        for c in checks
+    )
+    assert run_cli(["ppt", "--input", ec, "--format", "csv"], capsys) == (0, want, "")
+
+
 @pytest.mark.parametrize("N", [0, 1])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_ppt_refuses_fewer_than_two_parties(tmp_path, capsys, N, fmt):
