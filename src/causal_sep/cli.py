@@ -1,10 +1,11 @@
 """Command-line interface: ``causal-sep <command> [flags]``.
 
-Machine payloads (JSON with a "schema" tag, or CSV with a fixed header)
-go to stdout or --out; human diagnostics go to stderr.  Output is
-deterministic for identical inputs, with floats printed as shortest
-round-trip decimals.  Exit codes: 0 success, 1 domain error, 2 I/O or
-parse error (argparse usage errors also exit 2).
+Machine payloads (JSON with a "schema" tag, or CSV with a fixed header,
+streamed a batch of rows at a time) go to stdout or --out; human
+diagnostics go to stderr.  Output is deterministic for identical inputs,
+with floats printed as shortest round-trip decimals.  Exit codes: 0
+success, 1 domain error, 2 I/O or parse error (argparse usage errors
+also exit 2).
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import csv
 import io
 import json
 import sys
-from itertools import chain, cycle, repeat
+from itertools import chain, cycle, islice, repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -52,7 +53,7 @@ from .ec_family import (
 from .ppt import PPT_TOL, any_npt, ppt_check, ppt_report
 
 SCHEMA = "causal-sep/1"
-# Configurations per batch of score lines that classify formats and writes
+# Rows per piece of a CSV table, and configurations per batch of classify's scores
 SCORE_BATCH = 16
 
 
@@ -60,11 +61,29 @@ SCORE_BATCH = 16
 # output formatting
 # ---------------------------------------------------------------------------
 
+def _payload(args, command: str, header, rows, key=None, head=None, tail=None) -> Iterable[str]:
+    """A table as text pieces.  CSV: the header, then the rows.  JSON: the
+    schema tag, the command, ``head``, the rows as objects under ``key`` (with
+    no key, the one row's fields), then ``tail``.  A list or tuple cell is a
+    JSON array, or its items joined by ";" in CSV.  ``rows`` may be a
+    ``CriterionReport``, whose scores are written from its arrays."""
+    report = None
+    if isinstance(rows, CriterionReport):
+        report, rows = rows, []
+    if args.format == "csv":
+        return _csv_payload(header, rows, report)
+    payload = {"schema": SCHEMA, "command": command, **(head or {})}
+    if report is None:
+        objects = [dict(zip(header, row)) for row in rows]
+        payload.update({key: objects} if key else objects[0])
+    return _json_payload({**payload, **(tail or {})}, report)
+
+
 def _json_payload(payload: dict, report: CriterionReport | None = None) -> Iterable[str]:
     """One JSON line: json.dumps of ``payload`` updated with ``report.to_dict()``,
     byte for byte, the report's scores written from its arrays a batch at a time."""
     if report is None:
-        return json.dumps(payload, separators=(",", ":")) + "\n"
+        return [json.dumps(payload, separators=(",", ":")) + "\n"]
     head = {**payload, "mode": report.mode.value, "overall": report.overall.value}
     head_text = f'{json.dumps(head, separators=(",", ":"))[:-1]},"scores":['
     return chain([head_text], _json_scores(report), ["]}\n"])
@@ -84,40 +103,28 @@ def _cell(x) -> str:
         return "true" if x else "false"
     if isinstance(x, float):
         return repr(x)
+    if isinstance(x, (list, tuple)):
+        return ";".join(map(str, x))
     return str(x)
 
 
 def _csv_payload(
-    header: list[str], rows: list[list], report: CriterionReport | None = None
-) -> Iterable[str]:
-    """CSV text: the header, the rows, then one line per score of ``report``,
-    a batch at a time, each joined from its pieces with no string per line."""
+    header: list[str], rows: Iterable[list], report: CriterionReport | None = None
+) -> Iterator[str]:
+    """CSV text: the header and the rows, ``SCORE_BATCH`` rows a piece, then
+    one line per score of ``report``, a batch at a time, each joined from its
+    pieces with no string per line."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(x) for x in row])
-    if report is None:
-        return buf.getvalue()
-    batches = _score_batches(report, ";", _CSV_SCORE_FIELDS)
-    return chain([buf.getvalue()], map("".join, map(chain.from_iterable, batches)))
-
-
-def _row_payload(args, command: str, header: list[str], row: list, **extra) -> str:
-    """One row as CSV under ``header``, or as JSON: the schema tag, the
-    command, the row's fields, then ``extra``."""
-    if args.format == "csv":
-        return _csv_payload(header, [row])
-    return _json_payload({"schema": SCHEMA, "command": command, **dict(zip(header, row)), **extra})
-
-
-def _rows_payload(args, command: str, header: list[str], rows: list[list], **head) -> str:
-    """Rows as CSV under ``header``, or as JSON: the schema tag, the
-    command, ``head``, then the rows as objects."""
-    if args.format == "csv":
-        return _csv_payload(header, rows)
-    objects = [dict(zip(header, row)) for row in rows]
-    return _json_payload({"schema": SCHEMA, "command": command, **head, "rows": objects})
+    rows = chain([header], rows)
+    while batch := list(islice(rows, SCORE_BATCH)):
+        buf.seek(0)
+        buf.truncate()
+        writer.writerows([_cell(x) for x in row] for row in batch)
+        yield buf.getvalue()
+    if report is not None:
+        batches = _score_batches(report, ";", _CSV_SCORE_FIELDS)
+        yield from map("".join, map(chain.from_iterable, batches))
 
 
 # Text around the six cells of a score (config, subset, P_ignorance,
@@ -191,6 +198,16 @@ def _add_variant_flags(p: argparse.ArgumentParser, *, required: bool) -> None:
     p.add_argument("--coupling", choices=["free", "coupled"], default=default)
 
 
+def _add_grid_flags(p: argparse.ArgumentParser) -> None:
+    _add_variant_flags(p, required=True)
+    _add_dims(p)
+    p.add_argument("--m-abs", type=int, default=None)
+    p.add_argument("--steps", type=int, default=101, help="number of grid points")
+    p.add_argument("--p-start", type=float, default=0.0)
+    p.add_argument("--p-end", type=float, default=1.0)
+    _add_output_flags(p)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="causal-sep",
@@ -222,13 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ec_threshold)
 
     p = ec_sub.add_parser("sweep", help="W and verdict over a p grid")
-    _add_variant_flags(p, required=True)
-    _add_dims(p)
-    p.add_argument("--m-abs", type=int, default=None)
-    p.add_argument("--steps", type=int, default=101, help="number of grid points")
-    p.add_argument("--p-start", type=float, default=0.0)
-    p.add_argument("--p-end", type=float, default=1.0)
-    _add_output_flags(p)
+    _add_grid_flags(p)
     p.set_defaults(func=cmd_ec_sweep)
 
     p = sub.add_parser("classify", help="causal-criterion report for a matrix file")
@@ -244,13 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ppt)
 
     p = sub.add_parser("compare", help="causal criterion vs PPT over a p grid")
-    _add_variant_flags(p, required=True)
-    _add_dims(p)
-    p.add_argument("--m-abs", type=int, default=None)
-    p.add_argument("--steps", type=int, default=101)
-    p.add_argument("--p-start", type=float, default=0.0)
-    p.add_argument("--p-end", type=float, default=1.0)
-    _add_output_flags(p)
+    _add_grid_flags(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("duality", help="threshold duality residuals")
@@ -270,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_config_count(args) -> str:
+def cmd_config_count(args) -> Iterable[str]:
     census = count_configurations(args.D, args.N, CouplingMode(args.coupling))
     # For D > 2 the greedy pick can disagree with the ceiling count; the JSON
     # reports both rather than hiding it.
@@ -278,9 +283,9 @@ def cmd_config_count(args) -> str:
     if args.coupling == "free" and args.D > 2:
         greedy = greedy_distinct_count(args.D, args.N)
         extra = {"greedy_distinct": greedy, "greedy_matches_K": greedy == census.K}
-    return _row_payload(
+    return _payload(
         args, "config-count", ["D", "N", "coupling", "K", "K_bar"],
-        [census.D, census.N, args.coupling, census.K, census.K_bar], **extra,
+        [[census.D, census.N, args.coupling, census.K, census.K_bar]], tail=extra,
     )
 
 
@@ -310,20 +315,22 @@ def cmd_ec_build(args) -> Iterable[str]:
     return matrix_chunks(rho)
 
 
-def _threshold_rows(variant: Variant, D: int, N: int, m_abs: int | None) -> list[list]:
+def _threshold_rows(variant: Variant, D: int, N: int, m_abs: int | None) -> Iterator[list]:
+    """The variant's rows of the threshold table, computed as they are read
+    but the first at once, so that the call raises any error of the table."""
     if variant[0] is ECClass.A:
         m_values = [None]
     else:
         m_values = [m_abs] if m_abs is not None else m_abs_values(N)
-    rows = []
-    for m in m_values:
-        th = threshold(*variant, D, N, m)
-        rows.append([variant_name(*variant), D, N, m, th.p_th1, th.p_th2])
-    return rows
+    rows = (
+        [variant_name(*variant), D, N, m, th.p_th1, th.p_th2]
+        for m in m_values
+        for th in [threshold(*variant, D, N, m)]
+    )
+    return chain(list(islice(rows, 1)), rows)
 
 
-def cmd_ec_threshold(args) -> str:
-    header = ["variant", "D", "N", "m_abs", "p_th1", "p_th2"]
+def cmd_ec_threshold(args) -> Iterable[str]:
     if args.ec_class is None:
         if args.mixing is not None or args.coupling is not None:
             raise ValueError(
@@ -332,25 +339,24 @@ def cmd_ec_threshold(args) -> str:
             )
         if args.format != "csv":
             raise ValueError("the all-variant threshold table is CSV only")
-        rows = []
-        for variant in all_variants():
-            rows.extend(_threshold_rows(variant, args.D, args.N, args.m_abs))
-        return _csv_payload(header, rows)
-
-    if args.mixing is None or args.coupling is None:
+        variants = all_variants()
+    elif args.mixing is None or args.coupling is None:
         raise ValueError("--mixing and --coupling are required alongside --class")
-    variant = _variant(args)
+    else:
+        variants = [_variant(args)]
+    # the CSV table has a row per variant and |m|; the JSON payload is one
+    # threshold in full
     if args.format == "csv":
-        return _csv_payload(header, _threshold_rows(variant, args.D, args.N, args.m_abs))
+        tables = [_threshold_rows(v, args.D, args.N, args.m_abs) for v in variants]
+        header = ["variant", "D", "N", "m_abs", "p_th1", "p_th2"]
+        return _payload(args, "ec-threshold", header, chain.from_iterable(tables))
 
-    name = variant_name(*variant)
+    (variant,) = variants
     if variant[0] is ECClass.B and args.m_abs is None:
         raise ValueError("b-class JSON threshold needs --m-abs (use CSV for all values)")
     th = threshold(*variant, args.D, args.N, args.m_abs)
-    payload = {
-        "schema": SCHEMA,
-        "command": "ec-threshold",
-        "variant": name,
+    fields = {
+        "variant": variant_name(*variant),
         "D": args.D,
         "N": args.N,
         "m_abs": th.m_abs,
@@ -358,13 +364,13 @@ def cmd_ec_threshold(args) -> str:
         "p_th": th.p_th1,
         "p_th1": th.p_th1,
         "p_th2": th.p_th2,
-        "window": list(th.window) if th.window is not None else None,
+        "window": th.window,
         "separable_region": th.separable_region,
     }
     # a single threshold carries no |m| or window; a window no single p_th
     for key in ("m_abs", "window") if variant[0] is ECClass.A else ("p_th",):
-        del payload[key]
-    return _json_payload(payload)
+        del fields[key]
+    return _payload(args, "ec-threshold", fields.keys(), [fields.values()])
 
 
 def _grid(args) -> list[float]:
@@ -392,7 +398,7 @@ def _b_closed_W_binding(params: ECParams, m_abs: int) -> float | None:
     return min(values) if values else None
 
 
-def cmd_ec_sweep(args) -> str:
+def cmd_ec_sweep(args) -> Iterable[str]:
     variant = _variant(args)
     name = variant_name(*variant)
     if variant[0] is ECClass.B and args.m_abs is None:
@@ -416,50 +422,32 @@ def cmd_ec_sweep(args) -> str:
             [name, args.D, args.N, p, w_closed, w_matrix, th.p_th1, th.p_th2, verdict.value]
         )
     header = ["variant", "D", "N", "p", "W_closed", "W_matrix", "p_th1", "p_th2", "verdict"]
-    return _rows_payload(args, "ec-sweep", header, rows, variant=name, D=args.D, N=args.N)
+    head = {"variant": name, "D": args.D, "N": args.N}
+    return _payload(args, "ec-sweep", header, rows, "rows", head)
 
 
 def cmd_classify(args) -> Iterable[str]:
     rho = load_matrix(args.input)
     report = classify(rho, CouplingMode(args.coupling))
-    if args.format == "csv":
-        header = ["config", "subset", "P_ignorance", "P_transition", "W", "verdict"]
-        return _csv_payload(header, [], report)
-    payload = {"schema": SCHEMA, "command": "classify", "D": rho.D, "N": rho.N}
-    return _json_payload(payload, report)
+    header = ["config", "subset", "P_ignorance", "P_transition", "W", "verdict"]
+    return _payload(args, "classify", header, report, head={"D": rho.D, "N": rho.N})
 
 
-def cmd_ppt(args) -> str:
+def cmd_ppt(args) -> Iterable[str]:
     rho = load_matrix(args.input)
     if args.subset is not None:
         checks = [ppt_check(rho, PartySubset(args.subset, rho.N))]
     else:
         checks = ppt_report(rho)
     overall = "npt_entangled" if any_npt(checks) else "ppt_separable_consistent"
-    if args.format == "csv":
-        rows = [
-            [
-                ";".join(str(x) for x in v.subset.members),
-                v.min_eigenvalue,
-                v.verdict.value,
-                v.conclusive,
-            ]
-            for v in checks
-        ]
-        return _csv_payload(["subset", "min_eigenvalue", "verdict", "conclusive"], rows)
-    return _json_payload(
-        {
-            "schema": SCHEMA,
-            "command": "ppt",
-            "D": rho.D,
-            "N": rho.N,
-            "checks": [v.to_dict() for v in checks],
-            "overall": overall,
-        }
+    rows = [[v.subset.members, v.min_eigenvalue, v.verdict.value, v.conclusive] for v in checks]
+    return _payload(
+        args, "ppt", ["subset", "min_eigenvalue", "verdict", "conclusive"], rows, "checks",
+        head={"D": rho.D, "N": rho.N}, tail={"overall": overall},
     )
 
 
-def cmd_compare(args) -> str:
+def cmd_compare(args) -> Iterable[str]:
     variant = _variant(args)
     if variant[0] is ECClass.B:
         if args.m_abs is None:
@@ -492,19 +480,17 @@ def cmd_compare(args) -> str:
             disagreements += 1
         rows.append([name, args.D, args.N, p, causal.value, ppt_side, agree])
     header = ["variant", "D", "N", "p", "causal", "ppt", "agree"]
-    return _rows_payload(
-        args, "compare", header, rows,
-        variant=name, D=args.D, N=args.N, disagreements=disagreements,
-    )
+    head = {"variant": name, "D": args.D, "N": args.N, "disagreements": disagreements}
+    return _payload(args, "compare", header, rows, "rows", head)
 
 
-def cmd_duality(args) -> str:
+def cmd_duality(args) -> Iterable[str]:
     r_a, r_b = duality_residuals(args.D, args.N)
-    return _row_payload(args, "duality", ["D", "N", "r_a", "r_b"], [args.D, args.N, r_a, r_b])
+    return _payload(args, "duality", ["D", "N", "r_a", "r_b"], [[args.D, args.N, r_a, r_b]])
 
 
-def cmd_crossover(args) -> str:
-    return _row_payload(args, "crossover", ["D", "N_cr"], [args.D, crossover_N(args.D)])
+def cmd_crossover(args) -> Iterable[str]:
+    return _payload(args, "crossover", ["D", "N_cr"], [[args.D, crossover_N(args.D)]])
 
 
 # ---------------------------------------------------------------------------
@@ -515,10 +501,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # a command computes its result before returning, so its errors come
-        # before any output; the text is then written one chunk at a time
-        payload = args.func(args)
-        chunks = [payload] if isinstance(payload, str) else payload
+        # a command raises its errors before returning, so they come before
+        # any output; the text pieces it returns are then written one at a time
+        chunks = args.func(args)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.writelines(chunks)

@@ -46,14 +46,6 @@ class PptVerdict:
     verdict: PptOutcome
     conclusive: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "subset": list(self.subset.members),
-            "min_eigenvalue": self.min_eigenvalue,
-            "verdict": self.verdict.value,
-            "conclusive": self.conclusive,
-        }
-
 
 def ppt_check(rho: DensityMatrix, subset: PartySubset) -> PptVerdict:
     """Eigenvalue test of the partial transpose over one party subset."""

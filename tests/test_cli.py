@@ -201,6 +201,25 @@ def test_threshold_b_json_needs_m_abs(capsys):
     assert "--m-abs" in err
 
 
+def test_threshold_table_streams(tmp_path, capsys):
+    # 20,004 rows, 1.2 MiB of CSV: written a batch of rows at a time, where a
+    # table kept whole, as rows and then as one string, peaked at 7x its size
+    target = tmp_path / "table.csv"
+    argv = ["ec", "threshold", "--D", "3", "--N", "5001", "--format", "csv", "--out", str(target)]
+    assert run_cli(argv[:4] + ["--N", "5"] + argv[6:], capsys) == (0, "", "")
+    tracemalloc.start()
+    try:
+        code, _, _ = run_cli(argv, capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    lines = target.read_text().splitlines()
+    assert len(lines) == 1 + 4 + 4 * 5000
+    assert lines[-1].startswith("b-strong-coupled,3,5001,5000,")
+    assert peak < target.stat().st_size / 3, f"the table peaked at {peak / 2**20:.2f} MiB"
+
+
 # ---------------------------------------------------------------------------
 # ec sweep
 # ---------------------------------------------------------------------------
@@ -820,8 +839,8 @@ def _compare_per_point(args):
         ppt_side = "npt_entangled" if npt else "ppt_separable_consistent"
         rows.append([name, args.D, args.N, p, causal.value, ppt_side, agree])
     header = ["variant", "D", "N", "p", "causal", "ppt", "agree"]
-    return cli._rows_payload(args, "compare", header, rows, variant=name, D=args.D, N=args.N,
-                             disagreements=disagreements)
+    head = {"variant": name, "D": args.D, "N": args.N, "disagreements": disagreements}
+    return cli._payload(args, "compare", header, rows, "rows", head)
 
 
 # class b: (steps, p-start, p-end) grids, the ones that reach p = 1, where
@@ -1061,6 +1080,40 @@ def test_exit_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["no-such-command"], capsys)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["ec", "threshold", "--class", "a", "--D", "3", "--N", "3"],
+         "--mixing and --coupling are required alongside --class"),
+        (["ec", "sweep", "--class", "a", "--mixing", "weak", "--D", "2", "--N", "2",
+          "--steps", "-1"], "--steps must be non-negative, got -1"),
+        (["compare", "--class", "a", "--mixing", "weak", "--D", "2", "--N", "2",
+          "--steps", "-1"], "--steps must be non-negative, got -1"),
+        (["compare", "--class", "b", "--mixing", "weak", "--D", "3", "--N", "3"],
+         "b-class comparisons need --m-abs"),
+    ],
+    ids=["threshold-class-alone", "sweep-negative-steps", "compare-negative-steps",
+         "compare-b-without-m-abs"],
+)
+def test_flag_combinations_refused_before_any_output(capsys, argv, err):
+    for fmt in ("json", "csv"):
+        assert run_cli(argv + ["--format", fmt], capsys) == (1, "", f"error: {err}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value",
+    [
+        (["ec", "build", "--class", "a", "--mixing", "weak", "--D", "2", "--N", "2"], "--p", "1+x"),
+        (["ppt", "--input", "state.json"], "--subset", "0,x"),
+    ],
+)
+def test_unparsable_flag_values_are_usage_errors(capsys, argv, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv + [flag, value], capsys)
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid" in capsys.readouterr().err
 
 
 def test_exit_bad_flag_type(capsys):

@@ -188,6 +188,19 @@ def test_bad_labels_rejected_before_the_gather(label):
         causal_W(maximally_mixed(2, 2), (0, label), S0, FREE)
 
 
+@pytest.mark.parametrize(
+    "j, subset, message",
+    [
+        ((0,), S0, "configuration (0,) has length 1, expected N=2"),
+        ((0, 0), PartySubset((0,), 3), "subset is over N=3 parties but the matrix has N=2"),
+    ],
+    ids=["short-configuration", "subset-over-three-parties"],
+)
+def test_configuration_and_subset_must_match_the_matrix_n(j, subset, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        causal_W(maximally_mixed(2, 2), j, subset, FREE)
+
+
 def test_classify_two_qubit_ten_parties_memory_bound():
     # one materialized partial transpose per subset needed 511 x 16.8 MB here
     rng = np.random.default_rng(43)

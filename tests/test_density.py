@@ -154,6 +154,12 @@ def test_partial_transpose_involution():
     assert np.array_equal(back.matrix, rho.matrix)
 
 
+def test_partial_transpose_refuses_a_subset_over_another_n():
+    message = "subset is over N=3 parties but the matrix has N=2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        partial_transpose(maximally_mixed(2, 2), PartySubset((0,), 3))
+
+
 def test_eigenvalues_ascending_and_sum_to_trace():
     diag = DensityMatrix(D=2, N=2, matrix=np.diag([0.4, 0.1, 0.3, 0.2]), normalized=True)
     eigs = hermitian_eigenvalues(diag)
@@ -569,6 +575,7 @@ def test_load_integer_minus_zero_without_json_route(tmp_path, monkeypatch, old, 
         ("]]}", "]]}x"),
         ('"N":1,', '\r"N":,'),  # a lone CR ends a line in a text-mode read
         ('"N":1,', '\r\n"N":,'),
+        (_GOOD, f"[{_GOOD}]"),  # the top-level value is not an object
     ],
 )
 def test_load_errors_match_json_route(tmp_path, old, new):

@@ -317,6 +317,11 @@ def test_threshold_b_window_example():
     assert th.m_abs == 1
 
 
+def test_threshold_b_window_has_no_single_p_th():
+    with pytest.raises(ValueError, match="p_th is defined for SINGLE thresholds only"):
+        threshold(B, WEAK, FREE, 3, 2, 1).p_th
+
+
 def test_threshold_b_strong_window_empty():
     th = threshold(B, STRONG, FREE, 3, 2, 1)
     assert th.window is None
