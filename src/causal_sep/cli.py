@@ -322,11 +322,13 @@ def _threshold_rows(variant: Variant, D: int, N: int, m_abs: int | None) -> Iter
         m_values = [None]
     else:
         m_values = [m_abs] if m_abs is not None else m_abs_values(N)
-    rows = (
-        [variant_name(*variant), D, N, m, th.p_th1, th.p_th2]
-        for m in m_values
-        for th in [threshold(*variant, D, N, m)]
-    )
+    name = variant_name(*variant)
+
+    def row(m: int | None) -> list:
+        th = threshold(*variant, D, N, m)
+        return [name, D, N, m, th.p_th1, th.p_th2]
+
+    rows = map(row, m_values)
     return chain(list(islice(rows, 1)), rows)
 
 
@@ -423,7 +425,7 @@ def cmd_ec_sweep(args) -> Iterable[str]:
         )
     header = ["variant", "D", "N", "p", "W_closed", "W_matrix", "p_th1", "p_th2", "verdict"]
     head = {"variant": name, "D": args.D, "N": args.N}
-    return _payload(args, "ec-sweep", header, rows, "rows", head)
+    return _payload(args, "ec-sweep", header, rows, "rows", head=head)
 
 
 def cmd_classify(args) -> Iterable[str]:
@@ -481,7 +483,7 @@ def cmd_compare(args) -> Iterable[str]:
         rows.append([name, args.D, args.N, p, causal.value, ppt_side, agree])
     header = ["variant", "D", "N", "p", "causal", "ppt", "agree"]
     head = {"variant": name, "D": args.D, "N": args.N, "disagreements": disagreements}
-    return _payload(args, "compare", header, rows, "rows", head)
+    return _payload(args, "compare", header, rows, "rows", head=head)
 
 
 def cmd_duality(args) -> Iterable[str]:
