@@ -28,6 +28,7 @@ from causal_sep.ec_family import (
     build_ec_matrix,
     ec_min_eigenvalue,
     threshold,
+    variant_name,
 )
 from causal_sep.config_calculus import CouplingMode
 from causal_sep.ppt import PPT_TOL
@@ -219,6 +220,71 @@ def test_threshold_table_streams(tmp_path, capsys):
     assert len(lines) == 1 + 4 + 4 * 5000
     assert lines[-1].startswith("b-strong-coupled,3,5001,5000,")
     assert peak < target.stat().st_size / 3, f"the table peaked at {peak / 2**20:.2f} MiB"
+
+
+def _threshold_table_oracle(D, N, variants, m_abs=None):
+    """The CSV threshold table by the per-row route: ``threshold`` once per
+    variant and |m|, each row written by ``csv`` with repr floats."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["variant", "D", "N", "m_abs", "p_th1", "p_th2"])
+    for variant in variants:
+        if variant[0] is ECClass.A:
+            m_values = [None]
+        else:
+            m_values = [m_abs] if m_abs is not None else range(1, N)
+        for m in m_values:
+            th = threshold(*variant, D, N, m)
+            cells = [variant_name(*variant), D, N, "" if m is None else m]
+            writer.writerow(cells + [repr(th.p_th1), repr(th.p_th2)])
+    return buf.getvalue()
+
+
+def _threshold_json_oracle(variant, D, N, m_abs):
+    """The single-variant JSON threshold payload, field by field from ``threshold``."""
+    th = threshold(*variant, D, N, m_abs)
+    fields = {"schema": "causal-sep/1", "command": "ec-threshold",
+              "variant": variant_name(*variant), "D": D, "N": N}
+    if variant[0] is ECClass.A:
+        fields.update(kind="single", p_th=th.p_th)
+    else:
+        fields.update(m_abs=m_abs, kind="window")
+    fields.update(p_th1=th.p_th1, p_th2=th.p_th2)
+    if variant[0] is ECClass.B:
+        fields["window"] = th.window
+    fields["separable_region"] = th.separable_region
+    return json.dumps(fields, separators=(",", ":")) + "\n"
+
+
+# (1001, 501) has roots that underflow to 0.0 and 1.0; at D = 2 every
+# window collapses to 0.5
+_TABLE_DIMS = [(2, 300), (3, 5001), (4, 3), (7, 2001), (1001, 501), (3, 50001)]
+
+
+@pytest.mark.parametrize("D, N", _TABLE_DIMS)
+def test_threshold_table_equals_the_per_row_route(capsys, D, N):
+    code, out, err = run_cli(
+        ["ec", "threshold", "--D", str(D), "--N", str(N), "--format", "csv"], capsys
+    )
+    assert (code, err) == (0, "")
+    assert out == _threshold_table_oracle(D, N, all_variants())
+
+
+@pytest.mark.parametrize("D, N", [(2, 300), (4, 3), (1001, 501), (3, 5001)])
+@pytest.mark.parametrize("variant", all_variants(), ids=lambda v: variant_name(*v))
+def test_single_variant_threshold_equals_the_per_row_route(capsys, variant, D, N):
+    flags = ["--class", variant[0].value, "--mixing", variant[1].value,
+             "--coupling", variant[2].value, "--D", str(D), "--N", str(N)]
+    for m_abs in (None, 1, N - 1):
+        m_flag = [] if m_abs is None else ["--m-abs", str(m_abs)]
+        code, out, _ = run_cli(["ec", "threshold", *flags, *m_flag, "--format", "csv"], capsys)
+        assert code == 0
+        assert out == _threshold_table_oracle(D, N, [variant], m_abs)
+        if variant[0] is ECClass.B and m_abs is None:
+            continue  # the b-class JSON payload needs --m-abs
+        code, out, _ = run_cli(["ec", "threshold", *flags, *m_flag], capsys)
+        assert code == 0
+        assert out == _threshold_json_oracle(variant, D, N, m_abs)
 
 
 # ---------------------------------------------------------------------------

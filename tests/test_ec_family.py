@@ -413,6 +413,85 @@ def test_duality_residuals_vanish():
             assert abs(r_b) <= 1e-14, (D, N)
 
 
+def _logistic(g, base):
+    return ec_family._inv1p_exp(g * math.log(base))
+
+
+def _a_exponent(mixing, coupling, N):
+    if coupling is FREE:
+        return -(2.0 - 1.0 / N) if mixing is WEAK else 1.0 / N
+    return -1.0 / N if mixing is WEAK else (2.0 - 1.0 / N)
+
+
+def _b_exponent(mixing, coupling, N):
+    if coupling is FREE:
+        return -(2 * N - 1) if mixing is WEAK else 1
+    return -1 if mixing is WEAK else (2 * N - 1)
+
+
+def _duality_residuals_oracle(D, N):
+    """The residuals by a nested loop over |m| and both pairings, each root
+    its own logistic."""
+    x = float(D - 1)
+    pairs = ((WEAK, STRONG), (STRONG, WEAK))
+    r_a = 0.0
+    for mix_free, mix_coupled in pairs:
+        lhs = _logistic(_a_exponent(mix_free, FREE, N), x)
+        rhs = _logistic(_a_exponent(mix_coupled, COUPLED, N), 1.0 / x)
+        r_a = max(r_a, abs(lhs - rhs))
+    r_b = 0.0
+    for m in range(1, N):
+        for mix_free, mix_coupled in pairs:
+            e_f = _b_exponent(mix_free, FREE, N)
+            e_c = _b_exponent(mix_coupled, COUPLED, N)
+            th1_f = _logistic(-e_f / (2.0 * m), x)
+            th2_f = _logistic(+e_f / (2.0 * m), x)
+            th1_c = _logistic(-e_c / (2.0 * m), x)
+            th2_c = _logistic(+e_c / (2.0 * m), x)
+            r_b = max(r_b, abs(th1_f - th2_c), abs(th2_f - th1_c))
+    return r_a, r_b
+
+
+@pytest.mark.parametrize("D, N", [(2, 300), (3, 5001), (4, 3), (7, 2001), (1001, 501), (3, 50001)])
+def test_duality_residuals_equal_the_nested_loop(capsys, D, N):
+    want = _duality_residuals_oracle(D, N)
+    assert [r.hex() for r in duality_residuals(D, N)] == [r.hex() for r in want]
+    code, out, _ = run_cli(["duality", "--D", str(D), "--N", str(N)], capsys)
+    assert code == 0
+    assert out == json.dumps(
+        {"schema": "causal-sep/1", "command": "duality", "D": D, "N": N,
+         "r_a": want[0], "r_b": want[1]},
+        separators=(",", ":"),
+    ) + "\n"
+
+
+@pytest.mark.parametrize("D, N", [(2, 30), (3, 501), (7, 201), (1001, 51)])
+def test_threshold_roots_equal_the_logistic(D, N):
+    # lower root 1/(1 + c**(-1/(2|m|))), upper 1/(1 + c**(+1/(2|m|))), c = (D-1)**e
+    for ec_class, mixing, coupling in all_variants():
+        if ec_class is A:
+            p_th = _logistic(_a_exponent(mixing, coupling, N), D - 1.0)
+            assert threshold(A, mixing, coupling, D, N).p_th == p_th
+            continue
+        e = _b_exponent(mixing, coupling, N)
+        for m in range(1, N):
+            lower, upper = _logistic(-e / (2.0 * m), D - 1.0), _logistic(e / (2.0 * m), D - 1.0)
+            th = threshold(B, mixing, coupling, D, N, m)
+            assert (th.p_th1, th.p_th2) == tuple(sorted((lower, upper)))
+            assert th.window == ((lower, upper) if lower <= upper else None)
+
+
+def test_duality_residuals_hold_no_array_over_m():
+    duality_residuals(3, 5)  # one-time setup stays out of the peak
+    tracemalloc.start()
+    try:
+        duality_residuals(3, 200001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**10, f"duality_residuals peaked at {peak} bytes"
+
+
 def test_crossover():
     assert crossover_N(3) == pytest.approx(math.log(2))
     assert crossover_N(1001) == pytest.approx(math.log(1000))
