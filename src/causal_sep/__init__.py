@@ -26,7 +26,6 @@ from .density import (
     hermitian_eigenvalues,
     load_matrix,
     partial_transpose,
-    save_matrix,
 )
 from .ec_family import (
     ECClass,

@@ -38,7 +38,9 @@ from .ec_family import (
     ECClass,
     ECParams,
     Mixing,
+    a_root,
     all_variants,
+    b_roots,
     build_ec_matrix,
     classify_ec,
     closed_form_W,
@@ -46,6 +48,7 @@ from .ec_family import (
     duality_residuals,
     ec_min_eigenvalue,
     ec_operator,
+    float_base,
     m_abs_values,
     threshold,
     variant_name,
@@ -171,14 +174,14 @@ def _parse_p(text: str) -> complex:
     try:
         return complex(text)
     except ValueError:
-        raise ValueError(f"cannot parse mixing parameter {text!r}")
+        raise argparse.ArgumentTypeError(f"cannot parse mixing parameter {text!r}")
 
 
 def _parse_subset(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ValueError(f"cannot parse party subset {text!r}; expected i,j,...")
+        raise argparse.ArgumentTypeError(f"cannot parse party subset {text!r}; expected i,j,...")
 
 
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
@@ -315,21 +318,18 @@ def cmd_ec_build(args) -> Iterable[str]:
     return matrix_chunks(rho)
 
 
-def _threshold_rows(variant: Variant, D: int, N: int, m_abs: int | None) -> Iterator[list]:
-    """The variant's rows of the threshold table, computed as they are read
-    but the first at once, so that the call raises any error of the table."""
-    if variant[0] is ECClass.A:
-        m_values = [None]
-    else:
-        m_values = [m_abs] if m_abs is not None else m_abs_values(N)
+def _threshold_rows(variant: Variant, D: int, N: int, m_abs: int | None) -> Iterable[list]:
+    """The variant's rows of the threshold table: the call raises any error
+    of the table, and the b-class rows are computed as they are read."""
+    ec_class, mixing, coupling = variant
     name = variant_name(*variant)
-
-    def row(m: int | None) -> list:
-        th = threshold(*variant, D, N, m)
-        return [name, D, N, m, th.p_th1, th.p_th2]
-
-    rows = map(row, m_values)
-    return chain(list(islice(rows, 1)), rows)
+    x = float_base(D, N)
+    if ec_class is ECClass.A:
+        p_th = a_root(mixing, coupling, x, N)
+        return [[name, D, N, None, p_th, p_th]]
+    m_values = m_abs_values(N, m_abs)
+    roots = b_roots(mixing, coupling, x, N, m_values)
+    return ([name, D, N, m, *sorted(pair)] for m, pair in zip(m_values, roots))
 
 
 def cmd_ec_threshold(args) -> Iterable[str]:

@@ -290,12 +290,6 @@ def float_texts(values: np.ndarray, nonfinite=repr) -> list[str]:
     return texts[inverse].tolist()
 
 
-def save_matrix(rho: DensityMatrix, path: str) -> None:
-    chunks = matrix_chunks(rho)  # before open: a refused matrix leaves the file as it was
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(chunks)
-
-
 def load_matrix(path: str) -> DensityMatrix:
     """Read a matrix file, enforcing the format invariants.
 

@@ -67,6 +67,7 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -311,7 +312,7 @@ def closed_form_W(
     diverge.
     """
     D, N = params.D, params.N
-    x = _float_base(D, N)
+    x = float_base(D, N)
     if params.ec_class is ECClass.A:
         a = params.p_abs
         weak = params.mixing is Mixing.WEAK
@@ -393,15 +394,31 @@ def _inv1p_exp(t: float) -> float:
     return 1.0 / (1.0 + math.exp(t))
 
 
-def _logistic(g: float, base: float) -> float:
-    """1/(1 + base**g) through log space; exact 0.5 when base == 1."""
-    return _inv1p_exp(g * math.log(base))
-
-
-def _a_exponent(mixing: Mixing, coupling: CouplingMode, N: int) -> float:
+def a_root(mixing: Mixing, coupling: CouplingMode, x: float, N: int) -> float:
+    """The class-a threshold 1/(1 + x**g) in |p|, through log space: exact
+    0.5 when x == 1."""
     if coupling is CouplingMode.N_FREE:
-        return -(2.0 - 1.0 / N) if mixing is Mixing.WEAK else 1.0 / N
-    return -1.0 / N if mixing is Mixing.WEAK else (2.0 - 1.0 / N)
+        g = -(2.0 - 1.0 / N) if mixing is Mixing.WEAK else 1.0 / N
+    else:
+        g = -1.0 / N if mixing is Mixing.WEAK else (2.0 - 1.0 / N)
+    return _inv1p_exp(g * math.log(x))
+
+
+def b_roots(
+    mixing: Mixing, coupling: CouplingMode, x: float, N: int, m_values: Iterable[int]
+) -> Iterator[tuple[float, float]]:
+    """The class-b window roots (lower, upper) = 1/(1 + c**(-+1/(2|m|))),
+    c = x**e, for each |m| of ``m_values`` in turn, computed as they are read.
+
+    The lower root comes from the m = -|m| branch (p >= lower), the upper
+    from m = +|m| (p <= upper); exact 0.5 when x == 1.  Each root is one
+    ``math.exp``: ``np.exp`` differs from it in the last bit on some roots.
+    """
+    e = _b_bracket_exponent(mixing, coupling, N)
+    log_x = math.log(x)
+    for m in m_values:
+        t = e / (2.0 * m) * log_x
+        yield _inv1p_exp(-t), _inv1p_exp(t)
 
 
 def _b_bracket_exponent(mixing: Mixing, coupling: CouplingMode, N: int) -> int:
@@ -410,7 +427,7 @@ def _b_bracket_exponent(mixing: Mixing, coupling: CouplingMode, N: int) -> int:
     return -1 if mixing is Mixing.WEAK else (2 * N - 1)
 
 
-def _float_base(D: int, N: int) -> float:
+def float_base(D: int, N: int) -> float:
     """The base D - 1 of the closed forms as a float, after ``check_dims``.
     A D or N whose D - 1 or exponent 2N - 1 lies beyond the float range is
     refused: the closed forms compute in floats."""
@@ -421,9 +438,14 @@ def _float_base(D: int, N: int) -> float:
     return float(D - 1)
 
 
-def m_abs_values(N: int) -> range:
-    """The |m| = 1..N-1 of the b-class windows, refused past
+def m_abs_values(N: int, m_abs: int | None = None) -> Sequence[int]:
+    """The |m| of the b-class windows: ``[m_abs]``, checked to lie in
+    1..N-1, or with no ``m_abs`` all of 1..N-1, refused past
     ``ENUMERATION_CAP`` values before any is computed."""
+    if m_abs is not None:
+        if not isinstance(m_abs, int) or isinstance(m_abs, bool) or not 1 <= m_abs <= N - 1:
+            raise ValueError(f"m_abs must be an integer in 1..N-1={N - 1}, got {m_abs!r}")
+        return [m_abs]
     if N - 1 > ENUMERATION_CAP:
         raise ValueError(f"N - 1 = {N - 1} values of |m| exceed the limit {ENUMERATION_CAP}")
     return range(1, N)
@@ -442,9 +464,9 @@ def threshold(
     Class a yields a SINGLE threshold in |p| (m_abs is ignored).  Class b
     yields a WINDOW per |m| = m_abs in 1..N-1.
     """
-    x = _float_base(D, N)
+    x = float_base(D, N)
     if ec_class is ECClass.A:
-        v = _logistic(_a_exponent(mixing, coupling, N), x)
+        v = a_root(mixing, coupling, x, N)
         return ThresholdResult(
             kind=ThresholdKind.SINGLE,
             p_th1=v,
@@ -453,11 +475,7 @@ def threshold(
         )
     if m_abs is None:
         raise ValueError("b-class thresholds need m_abs (1 <= m_abs <= N-1)")
-    if not isinstance(m_abs, int) or isinstance(m_abs, bool) or not 1 <= m_abs <= N - 1:
-        raise ValueError(f"m_abs must be an integer in 1..N-1={N - 1}, got {m_abs!r}")
-    e = _b_bracket_exponent(mixing, coupling, N)
-    lower = _logistic(-e / (2.0 * m_abs), x)  # from the m = -|m| branch: p >= lower
-    upper = _logistic(+e / (2.0 * m_abs), x)  # from the m = +|m| branch: p <= upper
+    ((lower, upper),) = b_roots(mixing, coupling, x, N, m_abs_values(N, m_abs))
     window = (lower, upper) if lower <= upper else None
     if window is None:
         region = "empty (entangled at every p)"
@@ -512,28 +530,16 @@ def duality_residuals(D: int, N: int) -> tuple[float, float]:
     coupled-variant roots in exchanged order (th1 <-> th2), for every
     |m| = 1..N-1.  Both residuals are expected to vanish to 1e-14.
     """
-    x = _float_base(D, N)
+    x = float_base(D, N)
     m_values = m_abs_values(N)
-    inv = 1.0 / x
-
-    r_a = 0.0
+    r_a = r_b = 0.0
     for mix_free, mix_coupled in ((Mixing.WEAK, Mixing.STRONG), (Mixing.STRONG, Mixing.WEAK)):
-        lhs = _logistic(_a_exponent(mix_free, CouplingMode.N_FREE, N), x)
-        rhs = _logistic(_a_exponent(mix_coupled, CouplingMode.N_COUPLED, N), inv)
+        lhs = a_root(mix_free, CouplingMode.N_FREE, x, N)
+        rhs = a_root(mix_coupled, CouplingMode.N_COUPLED, 1.0 / x, N)
         r_a = max(r_a, abs(lhs - rhs))
-
-    r_b = 0.0
-    for m in m_values:
-        for mix_free, mix_coupled in (
-            (Mixing.WEAK, Mixing.STRONG),
-            (Mixing.STRONG, Mixing.WEAK),
-        ):
-            e_f = _b_bracket_exponent(mix_free, CouplingMode.N_FREE, N)
-            e_c = _b_bracket_exponent(mix_coupled, CouplingMode.N_COUPLED, N)
-            th1_f = _logistic(-e_f / (2.0 * m), x)
-            th2_f = _logistic(+e_f / (2.0 * m), x)
-            th1_c = _logistic(-e_c / (2.0 * m), x)
-            th2_c = _logistic(+e_c / (2.0 * m), x)
+        free = b_roots(mix_free, CouplingMode.N_FREE, x, N, m_values)
+        coupled = b_roots(mix_coupled, CouplingMode.N_COUPLED, x, N, m_values)
+        for (th1_f, th2_f), (th1_c, th2_c) in zip(free, coupled):
             r_b = max(r_b, abs(th1_f - th2_c), abs(th2_f - th1_c))
     return r_a, r_b
 

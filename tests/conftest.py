@@ -1,7 +1,13 @@
 import numpy as np
 
 from causal_sep.config_calculus import check_dims
-from causal_sep.density import DensityMatrix, PartySubset, config_to_index, partial_transpose
+from causal_sep.density import (
+    DensityMatrix,
+    PartySubset,
+    config_to_index,
+    matrix_chunks,
+    partial_transpose,
+)
 
 
 def random_hermitian(D, N, rng, scale=1.0):
@@ -17,6 +23,13 @@ def random_state(D, N, rng):
     raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     psd = raw @ raw.conj().T
     return DensityMatrix(D=D, N=N, matrix=psd / np.trace(psd).real, normalized=True)
+
+
+def save_matrix(rho, path):
+    """Write ``rho`` as a matrix file, as ``ec build --out`` writes one."""
+    chunks = matrix_chunks(rho)  # before open: a refused matrix leaves the file as it was
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(chunks)
 
 
 def run_cli(argv, capsys):

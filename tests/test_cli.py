@@ -18,7 +18,6 @@ from causal_sep.density import (
     PartySubset,
     matrix_to_payload,
     partial_transpose,
-    save_matrix,
 )
 from causal_sep.ec_family import (
     ECClass,
@@ -33,7 +32,7 @@ from causal_sep.ec_family import (
 from causal_sep.config_calculus import CouplingMode
 from causal_sep.ppt import PPT_TOL
 
-from conftest import bell_state, maximally_mixed, random_state, run_cli
+from conftest import bell_state, maximally_mixed, random_state, run_cli, save_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -1170,17 +1169,19 @@ def test_flag_combinations_refused_before_any_output(capsys, argv, err):
 
 
 @pytest.mark.parametrize(
-    "argv, flag, value",
+    "argv, flag, value, message",
     [
-        (["ec", "build", "--class", "a", "--mixing", "weak", "--D", "2", "--N", "2"], "--p", "1+x"),
-        (["ppt", "--input", "state.json"], "--subset", "0,x"),
+        (["ec", "build", "--class", "a", "--mixing", "weak", "--D", "2", "--N", "2"], "--p", "1+x",
+         "cannot parse mixing parameter '1+x'"),
+        (["ppt", "--input", "state.json"], "--subset", "0,x",
+         "cannot parse party subset '0,x'; expected i,j,..."),
     ],
 )
-def test_unparsable_flag_values_are_usage_errors(capsys, argv, flag, value):
+def test_unparsable_flag_values_are_usage_errors(capsys, argv, flag, value, message):
     with pytest.raises(SystemExit) as exc:
         run_cli(argv + [flag, value], capsys)
     assert exc.value.code == 2
-    assert f"argument {flag}: invalid" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(f"error: argument {flag}: {message}\n")
 
 
 def test_exit_bad_flag_type(capsys):

@@ -13,6 +13,7 @@ from conftest import (
     element,
     maximally_mixed,
     random_hermitian,
+    save_matrix,
     transpose_parties,
 )
 from causal_sep import density
@@ -28,7 +29,6 @@ from causal_sep.density import (
     matrix_to_payload,
     partial_transpose,
     payload_to_matrix,
-    save_matrix,
 )
 from causal_sep.ec_family import ECClass, ECParams, Mixing, all_variants, build_ec_matrix
 from causal_sep.config_calculus import CouplingMode, enumerate_configurations

@@ -25,7 +25,6 @@ from causal_sep.density import (
     hermitian_eigenvalues,
     load_matrix,
     partial_transpose,
-    save_matrix,
 )
 
 from conftest import (
@@ -33,6 +32,7 @@ from conftest import (
     is_completely_orthogonal,
     random_hermitian,
     random_state,
+    save_matrix,
     transpose_parties,
 )
 
