@@ -43,6 +43,7 @@ from .density import (
     PartySubset,
     canonical_subsets,
     config_to_index,
+    pt_flat,
 )
 
 if TYPE_CHECKING:
@@ -163,12 +164,8 @@ def _report(
     """Scores of the configurations ``configs`` (J, N) on ``subsets``."""
     for s in subsets:
         if s.N != rho.N:
-            raise ValueError(
-                f"subset is over N={s.N} parties but the matrix has N={rho.N}"
-            )
-    in_subset = np.zeros((rho.N, len(subsets)))
-    for k, s in enumerate(subsets):
-        in_subset[list(s.members), k] = 1.0
+            raise ValueError(f"subset is over N={s.N} parties but the matrix has N={rho.N}")
+    in_subset = np.array([[n in s.members for s in subsets] for n in range(rho.N)], float)
     partners = max((rho.D - 1) ** rho.N, 1)  # the free family, the larger one
     step = max(1, GATHER_BYTES // (GATHER_CELL_BYTES * partners * (rho.N + len(subsets))))
     p_ign = np.empty(len(configs))
@@ -194,13 +191,12 @@ def _gather(
     """P_ignorance (J,) and P_transition (J, S) of the configurations j (J, N);
     column k of ``in_subset`` (N, S) marks the parties of subset k.
 
-    No partial transpose is built: <j| rho^{T_S} |l> = rho[row, col], where
-    row is j with its S-labels taken from l and col is l with its S-labels
-    taken from j, i.e. row = j + delta and col = l - delta for
-    delta = sum over n in S of (l_n - j_n) D^(N-1-n).  sum() adds the
-    partners one at a time, in family order, as the per-pair definition does.
-    Every entry is read through ``rho.entries`` by flat index, so ``rho`` may
-    be a DensityMatrix or an ``ec_family.KronSum``.
+    No partial transpose is built: <j| rho^{T_S} |l> is read from rho at
+    ``density.pt_flat``'s index, computed in floats (``in_subset``'s dtype)
+    so that its matrix products run in BLAS.  sum() adds the partners one at
+    a time, in family order, as the per-pair definition does.  Every entry
+    is read through ``rho.entries`` by flat index, so ``rho`` may be a
+    DensityMatrix or an ``ec_family.KronSum``.
     """
     D, dim = rho.D, rho.dim
     weights = D ** np.arange(rho.N - 1, -1, -1)
@@ -208,12 +204,7 @@ def _gather(
     jj = j @ weights
     p_ign = diag(jj) * sum(diag(partner_labels(j, D, mode) @ weights), 0.0)
     l = partner_labels(j, D, _swapped(mode))
-    # the flat index j*dim + l + delta*(dim - 1), built in place in floats:
-    # exact, as every value is an integer below dim**2 < 2**53
-    index = ((l - j) * weights) @ in_subset
-    index *= dim - 1
-    index += (jj * dim + l @ weights)[..., None]
-    entry = rho.entries(index.astype(np.intp))
+    entry = rho.entries(pt_flat(j, l, D, in_subset))
     terms = np.hypot(entry.real, entry.imag)
     terms *= terms
     return p_ign, sum(terms, 0.0)

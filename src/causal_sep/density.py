@@ -176,36 +176,63 @@ def partial_transpose(rho: DensityMatrix, subset: PartySubset) -> DensityMatrix:
     """Transpose the row and column indices of the parties in ``subset``.
     Entries are permuted, not recomputed, so Hermiticity and the trace are
     preserved exactly."""
-    if subset.N != rho.N:
-        raise ValueError(
-            f"subset is over N={subset.N} parties but the matrix has N={rho.N}"
-        )
-    D, N = rho.D, rho.N
+    out = _swap_parties(rho.matrix, rho.D, rho.N, subset)
+    return DensityMatrix._adopt(rho.D, rho.N, out, rho.normalized, hermitian=True)
+
+
+def _swap_parties(arr: np.ndarray, D: int, N: int, subset: PartySubset | None) -> np.ndarray:
+    """``arr`` with the row and column labels of ``subset`` swapped: a copy, or ``arr``."""
+    if subset is None:
+        return arr
+    if subset.N != N:
+        raise ValueError(f"subset is over N={subset.N} parties but the matrix has N={N}")
     axes = list(range(2 * N))
     for n in subset.members:
         axes[n], axes[N + n] = axes[N + n], axes[n]
-    out = rho.matrix.reshape((D,) * (2 * N)).transpose(axes).reshape(rho.dim, rho.dim)
-    return DensityMatrix._adopt(D, N, out, rho.normalized, hermitian=True)
+    return arr.reshape((D,) * (2 * N)).transpose(axes).reshape(len(arr), len(arr))
 
 
-def hermitian_eigenvalues(rho: DensityMatrix) -> np.ndarray:
-    """Ascending real spectrum (LAPACK symmetric solver), with no check of its
-    own: ``DensityMatrix._seal`` checked Hermiticity, which derived matrices keep.
+def pt_flat(rows: np.ndarray, cols: np.ndarray, D: int, in_subset: np.ndarray) -> np.ndarray:
+    """Flat indices in a D^N x D^N matrix rho of <r| rho^{T_S} |c>, for label
+    arrays r in ``rows`` and c in ``cols`` (..., N), broadcast, with a last
+    axis over the subsets S marked by the columns of ``in_subset`` (N, S).
+    With s(x) = sum over n in S of x_n D^(N-1-n), the entry is
+    rho[r + s(c) - s(r), c - s(c) + s(r)], at r*dim + c + (s(c) - s(r))*(dim - 1).
+    In ``in_subset``'s dtype; exact in floats, as each value is an integer below 2*dim**2."""
+    weights = D ** np.arange(rows.shape[-1] - 1, -1, -1)
+    dim, part = D * weights[0], in_subset * weights[:, None]
+    shift = cols @ part - rows @ part
+    shift *= dim - 1
+    shift += (rows @ weights * dim + cols @ weights)[..., None]
+    return shift.astype(np.intp, copy=False)
 
-    The connected components of the nonzero pattern are the diagonal blocks
-    of a symmetric permutation, which keeps the spectrum.  Each block is
-    solved alone, each size in one stacked call, within the dense solve's
-    error bound; one component is solved as it is, bit for bit the dense
-    spectrum.  An EC partial transpose at D=2 has 2x2 blocks.
+
+def hermitian_eigenvalues(rho: DensityMatrix, subset: PartySubset | None = None) -> np.ndarray:
+    """Ascending real spectrum (LAPACK symmetric solver) of rho, or of its
+    partial transpose over ``subset``, with no check of its own: ``_seal``
+    checked Hermiticity, which a partial transpose keeps exactly.
+
+    The components of the nonzero pattern (a boolean copy) are the diagonal
+    blocks of a symmetric permutation, which keeps the spectrum.  Each block
+    is solved alone from rho's entries at ``pt_flat``'s indices, each size in
+    one stacked call, within the dense solve's error bound.  One component
+    is solved whole: the dense spectrum of rho, or of ``partial_transpose``'s
+    copy, bit for bit.  An EC partial transpose at D=2 has 2x2 blocks.
     """
-    labels = _components(rho.matrix != 0)
+    D, N = rho.D, rho.N
+    labels = _components(_swap_parties(rho.matrix != 0, D, N, subset))
     if not labels.any():
-        return np.linalg.eigvalsh(rho.matrix)
+        return np.linalg.eigvalsh(_swap_parties(rho.matrix, D, N, subset))
     order = np.argsort(labels, kind="stable")  # each component's indices, ascending
     sizes = np.bincount(labels)
     starts = np.cumsum(sizes) - sizes
-    blocks = [order[starts[sizes == size, None] + np.arange(size)] for size in np.unique(sizes)]
-    spectra = [np.linalg.eigvalsh(rho.matrix[b[:, :, None], b[:, None, :]]) for b in blocks]
+    digits = np.arange(rho.dim)[:, None] // D ** np.arange(N - 1, -1, -1) % D  # each index's labels
+    in_subset = np.isin(np.arange(N), () if subset is None else subset.members)[:, None]
+    spectra = []
+    for size in np.unique(sizes):
+        block = digits[order[starts[sizes == size, None] + np.arange(size)]]  # (blocks, size, N)
+        index = pt_flat(block[:, :, None], block[:, None, :], D, in_subset)[..., 0]
+        spectra.append(np.linalg.eigvalsh(rho.entries(index)))
     return np.sort(np.concatenate(spectra, axis=None))
 
 

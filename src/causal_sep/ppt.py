@@ -10,8 +10,8 @@ family a partial transpose keeps rho's spectrum (for real p it is rho
 itself), so there NPT means that rho has a negative eigenvalue, which
 ``ec_family.ec_min_eigenvalue`` gives in closed form; ``compare`` reads it
 from there.  ``ppt`` takes the spectrum of any matrix's partial transpose
-from ``density.hermitian_eigenvalues``, one connected block at a time: an
-EC matrix's splits into blocks of at most 2 rows at D=2.
+from ``density.hermitian_eigenvalues(rho, subset)``, one connected block at
+a time, read from rho's own entries: at D=2 an EC matrix's blocks are 2x2.
 
 References: A. Peres, Phys. Rev. Lett. 77, 1413 (1996); M., P. and
 R. Horodecki, Phys. Lett. A 223, 1 (1996).
@@ -27,7 +27,6 @@ from .density import (
     PartySubset,
     canonical_subsets,
     hermitian_eigenvalues,
-    partial_transpose,
 )
 
 # a partial-transpose eigenvalue below -PPT_TOL is negative
@@ -51,19 +50,10 @@ def ppt_check(rho: DensityMatrix, subset: PartySubset) -> PptVerdict:
     """Eigenvalue test of the partial transpose over one party subset."""
     if not rho.normalized:
         raise ValueError("ppt_check expects a normalized density matrix")
-    spectrum = hermitian_eigenvalues(partial_transpose(rho, subset))
-    min_eig = float(spectrum[0])
-    verdict = (
-        PptOutcome.NPT_ENTANGLED
-        if min_eig < -PPT_TOL
-        else PptOutcome.PPT_SEPARABLE_CONSISTENT
-    )
-    return PptVerdict(
-        subset=subset,
-        min_eigenvalue=min_eig,
-        verdict=verdict,
-        conclusive=(rho.D == 2 and rho.N == 2),
-    )
+    min_eig = float(hermitian_eigenvalues(rho, subset)[0])
+    negative = min_eig < -PPT_TOL
+    verdict = PptOutcome.NPT_ENTANGLED if negative else PptOutcome.PPT_SEPARABLE_CONSISTENT
+    return PptVerdict(subset, min_eig, verdict, conclusive=rho.D == 2 and rho.N == 2)
 
 
 def ppt_report(rho: DensityMatrix) -> list[PptVerdict]:

@@ -224,6 +224,68 @@ def test_eigensolve_of_bell_states(kind):
     assert list(hermitian_eigenvalues(pt)) == [-0.5, 0.5, 0.5, 0.5]
 
 
+# ---------------------------------------------------------------------------
+# the spectrum of a partial transpose, read from rho's own entries
+# ---------------------------------------------------------------------------
+
+def _ec_variant(variant, D, N, rng):
+    """An EC matrix of ``variant``: complex p in class a, random b_sites in b."""
+    if variant[0] is ECClass.A:
+        p = rng.uniform() * np.exp(2j * np.pi * rng.uniform())
+        return build_ec_matrix(ECParams(*variant, D, N, p))
+    return build_ec_matrix(ECParams(*variant, D, N, rng.uniform(), tuple(rng.integers(0, 2, N))))
+
+
+def _same_spectrum_as_the_copy(rho):
+    """hermitian_eigenvalues(rho, S) against the copied partial transpose,
+    bit for bit, over every canonical cut; returns the subsets checked."""
+    for S in canonical_subsets(rho.N):
+        got = hermitian_eigenvalues(rho, S)
+        assert got.tobytes() == hermitian_eigenvalues(partial_transpose(rho, S)).tobytes(), S
+    return canonical_subsets(rho.N)
+
+
+@pytest.mark.parametrize("D, N", [(2, 3), (2, 6), (3, 3), (4, 3)])
+@pytest.mark.parametrize("variant", all_variants(), ids=lambda v: "-".join(x.value for x in v))
+def test_eigensolve_of_an_ec_cut_is_that_of_the_copy(D, N, variant):
+    rng = np.random.default_rng(100 * D + N)
+    for _ in range(2):
+        _same_spectrum_as_the_copy(_ec_variant(variant, D, N, rng))
+
+
+@pytest.mark.parametrize("D, N", [(2, 5), (3, 3)])
+def test_eigensolve_of_a_dense_cut_is_that_of_the_copy(D, N):
+    rng = np.random.default_rng(7 * D + N)
+    _same_spectrum_as_the_copy(random_hermitian(D, N, rng))
+    # a zero row and column: two components, one of them a single index
+    arr = random_hermitian(D, N, rng).matrix.copy()
+    arr[3, :] = arr[:, 3] = 0.0
+    _same_spectrum_as_the_copy(DensityMatrix(D, N, arr, normalized=False))
+
+
+@pytest.mark.parametrize("kind", ["phi+", "phi-", "psi+", "psi-"])
+def test_eigensolve_of_a_bell_cut_is_that_of_the_copy(kind):
+    assert len(_same_spectrum_as_the_copy(bell_state(kind))) == 1
+    spectrum = hermitian_eigenvalues(bell_state(kind), PartySubset((0,), 2))
+    assert list(spectrum) == [-0.5, 0.5, 0.5, 0.5]
+
+
+def test_eigensolve_of_a_dense_cut_holds_one_copy():
+    # one component: a transposed copy goes to eigvalsh, with no index array
+    # of the matrix's size beside it (an int64 index is half its bytes)
+    rho = random_hermitian(2, 8, np.random.default_rng(37))
+    subset = PartySubset((0, 3, 4), 8)
+    want = hermitian_eigenvalues(partial_transpose(rho, subset))
+    tracemalloc.start()
+    try:
+        got = hermitian_eigenvalues(rho, subset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak < 1.25 * rho.matrix.nbytes + 2**16
+
+
 def test_eigensolve_of_a_permuted_block_diagonal_matrix():
     rng = np.random.default_rng(29)
     sizes = [1, 1, 2, 2, 3, 3, 4, 8, 8]

@@ -1,4 +1,6 @@
 import json
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +44,31 @@ def test_conclusive_only_for_two_qubits():
     v = ppt_check(maximally_mixed(3, 2), PartySubset((1,), 2))
     assert v.conclusive is False
     assert ppt_check(maximally_mixed(2, 3), PartySubset((0,), 3)).conclusive is False
+
+
+def test_check_reads_rho_with_no_partial_transpose_copy():
+    # the (2,10) cut is 512 blocks of 2x2: the boolean pattern, its
+    # transposed copy and the blocks, against the 16 MiB of a copy
+    rho = build_ec_matrix(
+        ECParams(ECClass.A, Mixing.STRONG, CouplingMode.N_FREE, D=2, N=10, p=0.6 + 0.3j)
+    )
+    subset = PartySubset((0, 5), 10)
+    want = hermitian_eigenvalues(partial_transpose(rho, subset))[0]
+    tracemalloc.start()
+    try:
+        v = ppt_check(rho, subset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert v.min_eigenvalue == want
+    assert v.verdict is PptOutcome.NPT_ENTANGLED
+    assert peak < rho.matrix.nbytes / 4 + 2**16
+
+
+def test_check_refuses_a_subset_over_another_n():
+    message = "subset is over N=3 parties but the matrix has N=2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ppt_check(maximally_mixed(2, 2), PartySubset((0,), 3))
 
 
 def test_requires_normalized():
