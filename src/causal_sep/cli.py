@@ -104,7 +104,9 @@ def _cell(x):
     any other value as its str."""
     if isinstance(x, bool):
         return "true" if x else "false"
-    return ";".join(map(str, x)) if isinstance(x, (list, tuple)) else x
+    if isinstance(x, (list, tuple)):
+        return ";".join(map(str, x))
+    return x
 
 
 def _csv_payload(
@@ -325,17 +327,7 @@ def _threshold_rows(variant: Variant, D: int, N: int, m_abs: int | None) -> Iter
         return [[name, D, N, None, p_th, p_th]]
     m_values = m_abs_values(N, m_abs)
     roots = b_roots(mixing, coupling, x, N, m_values)
-    return _b_rows([name, str(D), str(N)], m_values, roots)
-
-
-def _b_rows(head: list[str], m_values, roots) -> Iterator[tuple[str, ...]]:
-    """The rows ``head`` + (|m|, its two roots ascending) as text cells,
-    formatted ``SCORE_BATCH`` pieces of the CSV table at a time."""
-    m_values = iter(m_values)
-    while m_texts := list(map(str, islice(m_values, SCORE_BATCH * SCORE_BATCH))):
-        pairs = np.sort(list(islice(roots, len(m_texts))), axis=1, kind="stable")
-        texts = float_texts(pairs.ravel())
-        yield from zip(*map(repeat, head), m_texts, texts[::2], texts[1::2])
+    return ([name, D, N, m, *sorted(pair)] for m, pair in zip(m_values, roots))
 
 
 def cmd_ec_threshold(args) -> Iterable[str]:

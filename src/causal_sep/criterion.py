@@ -164,8 +164,12 @@ def _report(
     """Scores of the configurations ``configs`` (J, N) on ``subsets``."""
     for s in subsets:
         if s.N != rho.N:
-            raise ValueError(f"subset is over N={s.N} parties but the matrix has N={rho.N}")
-    in_subset = np.array([[n in s.members for s in subsets] for n in range(rho.N)], float)
+            raise ValueError(
+                f"subset is over N={s.N} parties but the matrix has N={rho.N}"
+            )
+    in_subset = np.zeros((rho.N, len(subsets)))
+    for k, s in enumerate(subsets):
+        in_subset[list(s.members), k] = 1.0
     partners = max((rho.D - 1) ** rho.N, 1)  # the free family, the larger one
     step = max(1, GATHER_BYTES // (GATHER_CELL_BYTES * partners * (rho.N + len(subsets))))
     p_ign = np.empty(len(configs))
@@ -201,8 +205,7 @@ def _gather(
     D, dim = rho.D, rho.dim
     weights = D ** np.arange(rho.N - 1, -1, -1)
     diag = lambda index: rho.entries(index * (dim + 1)).real
-    jj = j @ weights
-    p_ign = diag(jj) * sum(diag(partner_labels(j, D, mode) @ weights), 0.0)
+    p_ign = diag(j @ weights) * sum(diag(partner_labels(j, D, mode) @ weights), 0.0)
     l = partner_labels(j, D, _swapped(mode))
     entry = rho.entries(pt_flat(j, l, D, in_subset))
     terms = np.hypot(entry.real, entry.imag)

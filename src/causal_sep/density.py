@@ -176,20 +176,19 @@ def partial_transpose(rho: DensityMatrix, subset: PartySubset) -> DensityMatrix:
     """Transpose the row and column indices of the parties in ``subset``.
     Entries are permuted, not recomputed, so Hermiticity and the trace are
     preserved exactly."""
-    out = _swap_parties(rho.matrix, rho.D, rho.N, subset)
+    out = _swap_parties(rho.matrix, rho.D, rho.N, subset).reshape(rho.dim, rho.dim)
     return DensityMatrix._adopt(rho.D, rho.N, out, rho.normalized, hermitian=True)
 
 
 def _swap_parties(arr: np.ndarray, D: int, N: int, subset: PartySubset | None) -> np.ndarray:
-    """``arr`` with the row and column labels of ``subset`` swapped: a copy, or ``arr``."""
-    if subset is None:
-        return arr
-    if subset.N != N:
+    """A (D,) * 2N view of ``arr`` with the row and column labels of ``subset`` swapped."""
+    members = () if subset is None else subset.members
+    if subset is not None and subset.N != N:
         raise ValueError(f"subset is over N={subset.N} parties but the matrix has N={N}")
     axes = list(range(2 * N))
-    for n in subset.members:
+    for n in members:
         axes[n], axes[N + n] = axes[N + n], axes[n]
-    return arr.reshape((D,) * (2 * N)).transpose(axes).reshape(len(arr), len(arr))
+    return arr.reshape((D,) * (2 * N)).transpose(axes)
 
 
 def pt_flat(rows: np.ndarray, cols: np.ndarray, D: int, in_subset: np.ndarray) -> np.ndarray:
@@ -212,21 +211,23 @@ def hermitian_eigenvalues(rho: DensityMatrix, subset: PartySubset | None = None)
     partial transpose over ``subset``, with no check of its own: ``_seal``
     checked Hermiticity, which a partial transpose keeps exactly.
 
-    The components of the nonzero pattern (a boolean copy) are the diagonal
-    blocks of a symmetric permutation, which keeps the spectrum.  Each block
-    is solved alone from rho's entries at ``pt_flat``'s indices, each size in
-    one stacked call, within the dense solve's error bound.  One component
-    is solved whole: the dense spectrum of rho, or of ``partial_transpose``'s
-    copy, bit for bit.  An EC partial transpose at D=2 has 2x2 blocks.
+    The components of the nonzero pattern (one boolean array, compared in
+    the partial transpose's order) are the diagonal blocks of a symmetric
+    permutation, which keeps the spectrum.  Each block is solved alone from
+    rho's entries at ``pt_flat``'s indices, each size in one stacked call,
+    within the dense solve's error bound.  One component is solved whole:
+    the dense spectrum of rho, or of ``partial_transpose``'s copy, bit for
+    bit.  An EC partial transpose at D=2 has 2x2 blocks.
     """
-    D, N = rho.D, rho.N
-    labels = _components(_swap_parties(rho.matrix != 0, D, N, subset))
+    D, N, dim = rho.D, rho.N, rho.dim
+    swapped = _swap_parties(rho.matrix, D, N, subset)
+    labels = _components(np.not_equal(swapped, 0, order="C").reshape(dim, dim))
     if not labels.any():
-        return np.linalg.eigvalsh(_swap_parties(rho.matrix, D, N, subset))
+        return np.linalg.eigvalsh(swapped.reshape(dim, dim))
     order = np.argsort(labels, kind="stable")  # each component's indices, ascending
     sizes = np.bincount(labels)
     starts = np.cumsum(sizes) - sizes
-    digits = np.arange(rho.dim)[:, None] // D ** np.arange(N - 1, -1, -1) % D  # each index's labels
+    digits = np.arange(dim)[:, None] // D ** np.arange(N - 1, -1, -1) % D  # each index's labels
     in_subset = np.isin(np.arange(N), () if subset is None else subset.members)[:, None]
     spectra = []
     for size in np.unique(sizes):

@@ -50,10 +50,19 @@ def ppt_check(rho: DensityMatrix, subset: PartySubset) -> PptVerdict:
     """Eigenvalue test of the partial transpose over one party subset."""
     if not rho.normalized:
         raise ValueError("ppt_check expects a normalized density matrix")
-    min_eig = float(hermitian_eigenvalues(rho, subset)[0])
-    negative = min_eig < -PPT_TOL
-    verdict = PptOutcome.NPT_ENTANGLED if negative else PptOutcome.PPT_SEPARABLE_CONSISTENT
-    return PptVerdict(subset, min_eig, verdict, conclusive=rho.D == 2 and rho.N == 2)
+    spectrum = hermitian_eigenvalues(rho, subset)
+    min_eig = float(spectrum[0])
+    verdict = (
+        PptOutcome.NPT_ENTANGLED
+        if min_eig < -PPT_TOL
+        else PptOutcome.PPT_SEPARABLE_CONSISTENT
+    )
+    return PptVerdict(
+        subset=subset,
+        min_eigenvalue=min_eig,
+        verdict=verdict,
+        conclusive=(rho.D == 2 and rho.N == 2),
+    )
 
 
 def ppt_report(rho: DensityMatrix) -> list[PptVerdict]:

@@ -257,10 +257,16 @@ def test_eigensolve_of_an_ec_cut_is_that_of_the_copy(D, N, variant):
 def test_eigensolve_of_a_dense_cut_is_that_of_the_copy(D, N):
     rng = np.random.default_rng(7 * D + N)
     _same_spectrum_as_the_copy(random_hermitian(D, N, rng))
-    # a zero row and column: two components, one of them a single index
+    # a partial transpose with a zero row and column: its pattern has two
+    # components, a dense block of dim - 1 indices and a single index
     arr = random_hermitian(D, N, rng).matrix.copy()
     arr[3, :] = arr[:, 3] = 0.0
-    _same_spectrum_as_the_copy(DensityMatrix(D, N, arr, normalized=False))
+    assert np.bincount(density._components(arr != 0)).tolist() == [D**N - 1, 1]
+    subset = PartySubset((0,), N)
+    rho = partial_transpose(DensityMatrix(D, N, arr, normalized=False), subset)
+    assert subset in _same_spectrum_as_the_copy(rho)
+    got = hermitian_eigenvalues(rho, subset)
+    np.testing.assert_allclose(got, np.linalg.eigvalsh(arr), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["phi+", "phi-", "psi+", "psi-"])
