@@ -1,49 +1,20 @@
-"""Causal separability criterion, EC state family, and PPT cross-check."""
+"""Causal separability criterion, EC state family, and PPT cross-check.
 
-from .config_calculus import (
-    ConfigCensus,
-    Configuration,
-    CouplingMode,
-    EnumerationBudgetError,
-    count_configurations,
-    enumerate_configurations,
-    orthogonal_partners,
-    partition_distinct,
-)
-from .criterion import (
-    ConfigScore,
-    CriterionReport,
-    OverallVerdict,
-    ScoreVerdict,
-    causal_W,
-    classify,
-)
-from .density import (
-    DensityMatrix,
-    MatrixFormatError,
-    PartySubset,
-    canonical_subsets,
-    hermitian_eigenvalues,
-    load_matrix,
-    partial_transpose,
-)
+The top level exports the names that the README's Library example imports;
+everything else is imported from its submodule.
+"""
+
+from .config_calculus import CouplingMode
+from .criterion import causal_W, classify
+from .density import PartySubset
 from .ec_family import (
     ECClass,
     ECParams,
-    ECVerdict,
-    KronSum,
     Mixing,
-    ThresholdKind,
-    ThresholdResult,
     build_ec_matrix,
-    classify_ec,
     closed_form_W,
-    crossover_N,
-    duality_residuals,
-    ec_min_eigenvalue,
-    ec_operator,
     threshold,
 )
-from .ppt import PptOutcome, PptVerdict, ppt_check, ppt_report
+from .ppt import ppt_report
 
 __version__ = "0.1.0"

@@ -166,10 +166,6 @@ def _score_batches(report: CriterionReport, sep: str, fields: tuple[str, ...], n
 
 def _parse_p(text: str) -> complex:
     try:
-        return complex(float(text))
-    except ValueError:
-        pass
-    try:
         return complex(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse mixing parameter {text!r}")
@@ -378,8 +374,6 @@ def _grid(args) -> list[float]:
         raise ValueError(f"--steps must be non-negative, got {args.steps}")
     if args.steps > ENUMERATION_CAP:
         raise ValueError(f"--steps {args.steps} exceeds the grid limit {ENUMERATION_CAP}")
-    if args.steps == 0:
-        return []
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN point is ECParams' error
         grid = np.linspace(args.p_start, args.p_end, args.steps)
     return [float(p) for p in grid]

@@ -35,6 +35,7 @@ import numpy as np
 from .config_calculus import (
     Configuration,
     CouplingMode,
+    check_dims,
     partition_distinct,
     partner_labels,
 )
@@ -231,10 +232,9 @@ def classify(rho: DensityMatrix, mode: CouplingMode) -> CriterionReport:
     The canonical bipartitions are the proper subsets containing party 0,
     one per complement-equivalent pair (W is complement-symmetric).
     """
+    check_dims(None, rho.N, N_min=2)
     if not rho.normalized:
         raise ValueError("classify expects a normalized density matrix")
-    if rho.N < 2:
-        raise ValueError(f"classification needs at least 2 parties, got N={rho.N}")
     distinct = partition_distinct(rho.D, rho.N).distinct
     configs = np.array(distinct, dtype=np.int64)
     return _report(rho, configs, tuple(canonical_subsets(rho.N)), mode)

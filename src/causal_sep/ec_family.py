@@ -198,29 +198,24 @@ def ec_operator(params: ECParams) -> KronSum:
     check_dims(D, N, capped=True)
 
     hub_lower = np.zeros((D, D), dtype=np.complex128)
-    for k in range(1, D):
-        hub_lower[k, 0] = 1.0
+    hub_lower[1:, 0] = 1.0
 
     if params.ec_class is ECClass.A:
         a = params.p_abs
         site_d = np.diag([1.0 - a] + [a / (D - 1)] * (D - 1)).astype(np.complex128)
         amp = params.p if params.mixing is Mixing.STRONG else params.p / (D - 1)
         site_o = amp * hub_lower + np.conj(amp) * hub_lower.conj().T
-        diag_sites = [site_d] * N
-        off_sites = [site_o] * N
+        diag_sites = np.stack([site_d] * N)
+        off_sites = np.stack([site_o] * N)
     else:
         p = params.p_real
-        hub = hub_lower + hub_lower.T
-        diag_sites = []
-        off_sites = []
-        for bit in params.b_sites:
-            f = (1.0 - p) if bit else p
-            diag_sites.append(
-                f * np.diag([1.0] + [1.0 / (D - 1)] * (D - 1)).astype(np.complex128)
-            )
-            amp = f if params.mixing is Mixing.STRONG else f / (D - 1)
-            off_sites.append(amp * hub)
-    return KronSum(D, N, np.stack(diag_sites), np.stack(off_sites))
+        # one f_n per site, on a leading axis over the parties
+        f = np.where(np.array(params.b_sites) == 1, 1.0 - p, p)[:, None, None]
+        site_d = np.diag([1.0] + [1.0 / (D - 1)] * (D - 1)).astype(np.complex128)
+        amp = f if params.mixing is Mixing.STRONG else f / (D - 1)
+        diag_sites = f * site_d
+        off_sites = amp * (hub_lower + hub_lower.T)
+    return KronSum(D, N, diag_sites, off_sites)
 
 
 def build_ec_matrix(params: ECParams) -> DensityMatrix:
@@ -341,14 +336,11 @@ def closed_form_W(
 
 
 def _pow_finite(base: float, exp: int) -> float:
-    if base == 0.0:
-        if exp < 0:
-            raise ValueError(
-                "closed-form W diverges: zero base raised to a negative power "
-                "(p endpoint incompatible with these m_j, m)"
-            )
-        if exp == 0:
-            return 1.0
+    if base == 0.0 and exp < 0:
+        raise ValueError(
+            "closed-form W diverges: zero base raised to a negative power "
+            "(p endpoint incompatible with these m_j, m)"
+        )
     return float(base**exp)
 
 
@@ -501,20 +493,14 @@ def classify_ec(params: ECParams, m_abs: int | None = None) -> ECVerdict:
     the branch-ordered window for |m| = m_abs (closed interval; empty
     window means entangled everywhere).
     """
-    if params.ec_class is ECClass.A:
-        th = threshold(params.ec_class, params.mixing, params.coupling, params.D, params.N)
-        return ECVerdict.SEPARABLE if params.p_abs <= th.p_th else ECVerdict.ENTANGLED
-    if m_abs is None:
+    if params.ec_class is ECClass.B and m_abs is None:
         raise ValueError("b-class verdict needs m_abs")
     th = threshold(params.ec_class, params.mixing, params.coupling, params.D, params.N, m_abs)
-    if th.window is None:
-        return ECVerdict.ENTANGLED
-    lower, upper = th.window
-    return (
-        ECVerdict.SEPARABLE
-        if lower <= params.p_real <= upper
-        else ECVerdict.ENTANGLED
-    )
+    if params.ec_class is ECClass.A:
+        inside = params.p_abs <= th.p_th
+    else:
+        inside = th.window is not None and th.window[0] <= params.p_real <= th.window[1]
+    return ECVerdict.SEPARABLE if inside else ECVerdict.ENTANGLED
 
 
 # ---------------------------------------------------------------------------

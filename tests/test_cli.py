@@ -817,15 +817,14 @@ def test_ppt_csv_payload(tmp_path, capsys):
 @pytest.mark.parametrize("N", [0, 1])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_ppt_refuses_fewer_than_two_parties(tmp_path, capsys, N, fmt):
-    # as classify does: a file of one party or none has no split to check
+    # a file of one party or none has no split to check; both commands say so
+    # through the one D/N validator
     matrix_file = str(tmp_path / "m.json")
     save_matrix(maximally_mixed(2, N), matrix_file)
+    want = (1, "", f"error: expected an integer N >= 2, got N={N}\n")
     for subset in ([], ["--subset", "0"]):
-        argv = ["ppt", "--input", matrix_file, "--format", fmt] + subset
-        assert run_cli(argv, capsys) == (1, "", f"error: expected an integer N >= 2, got N={N}\n")
-    code, out, err = run_cli(["classify", "--input", matrix_file, "--format", fmt], capsys)
-    assert (code, out) == (1, "")
-    assert f"got N={N}" in err
+        assert run_cli(["ppt", "--input", matrix_file, "--format", fmt] + subset, capsys) == want
+    assert run_cli(["classify", "--input", matrix_file, "--format", fmt], capsys) == want
 
 
 @pytest.mark.parametrize(
@@ -1182,6 +1181,25 @@ def test_unparsable_flag_values_are_usage_errors(capsys, argv, flag, value, mess
         run_cli(argv + [flag, value], capsys)
     assert exc.value.code == 2
     assert capsys.readouterr().err.endswith(f"error: argument {flag}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("-0", "(-0+0j)"),
+        ("nan", "(nan+0j)"),
+        ("-inf", "(-inf+0j)"),
+        ("1e400", "(inf+0j)"),
+        ("1_000", "(1000+0j)"),
+        (" 0.5 ", "(0.5+0j)"),
+        ("+0.5", "(0.5+0j)"),
+        ("(1+2j)", "(1+2j)"),
+        ("0.5j", "0.5j"),
+        ("١.٥", "(1.5+0j)"),  # Arabic-Indic digits
+    ],
+)
+def test_parse_p_values(text, want):
+    assert repr(cli._parse_p(text)) == want
 
 
 def test_exit_bad_flag_type(capsys):

@@ -401,6 +401,78 @@ def test_classify_ec_matches_closed_form_sign():
         assert (w < -1e-12) == (verdict is ECVerdict.ENTANGLED), f"p={p}"
 
 
+def _classify_ec_oracle(prm, m_abs=None):
+    """The verdict by two routes: class a against ``threshold(...).p_th``,
+    class b against the branch-ordered window for ``m_abs``."""
+    if prm.ec_class is A:
+        th = threshold(prm.ec_class, prm.mixing, prm.coupling, prm.D, prm.N)
+        return ECVerdict.SEPARABLE if prm.p_abs <= th.p_th else ECVerdict.ENTANGLED
+    if m_abs is None:
+        raise ValueError("b-class verdict needs m_abs")
+    th = threshold(prm.ec_class, prm.mixing, prm.coupling, prm.D, prm.N, m_abs)
+    if th.window is None:
+        return ECVerdict.ENTANGLED
+    lower, upper = th.window
+    return ECVerdict.SEPARABLE if lower <= prm.p_real <= upper else ECVerdict.ENTANGLED
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("variant", all_variants(), ids=lambda v: "-".join(x.value for x in v))
+def test_classify_ec_equals_the_two_route_oracle(variant):
+    rng = np.random.default_rng(7)
+    grid = list(np.linspace(0.0, 1.0, 41)) + list(rng.uniform(size=20))
+    if variant[0] is A:
+        grid += [complex(-p) for p in grid] + list(np.exp(2j * np.pi * rng.uniform(size=20)) / 2)
+    cases = 0
+    for D, N in [(2, 2), (2, 5), (3, 3), (4, 4), (7, 2), (10**6, 500)]:
+        for p in grid:
+            prm = ECParams(*variant, D, N, p)
+            # class a ignores m_abs; class b refuses None and any |m| out of 1..N-1
+            for m_abs in (None, 0, 1, N - 1, N):
+                cases += 1
+                assert _outcome(classify_ec, prm, m_abs) == _outcome(
+                    _classify_ec_oracle, prm, m_abs
+                ), (D, N, p, m_abs)
+    assert cases > 1000
+
+
+def _site_stacks_oracle(prm):
+    """The class-b site factors of the module docstring, one site at a time."""
+    D, p = prm.D, prm.p_real
+    hub = np.zeros((D, D), dtype=np.complex128)
+    for k in range(1, D):
+        hub[k, 0] = hub[0, k] = 1.0
+    diag_sites, off_sites = [], []
+    for bit in prm.b_sites:
+        f = (1.0 - p) if bit else p
+        diag_sites.append(f * np.diag([1.0] + [1.0 / (D - 1)] * (D - 1)).astype(np.complex128))
+        amp = f if prm.mixing is STRONG else f / (D - 1)
+        off_sites.append(amp * hub)
+    return np.stack(diag_sites), np.stack(off_sites)
+
+
+@pytest.mark.parametrize("D", [2, 3, 4, 5])
+@pytest.mark.parametrize("mixing", [WEAK, STRONG], ids=lambda m: m.value)
+def test_b_site_stacks_equal_the_per_site_loop(D, mixing):
+    rng = np.random.default_rng(D)
+    for N in range(2, 6):
+        for p in [0.0, 1.0, *rng.uniform(size=4)]:
+            for _ in range(4):
+                prm = params(ec_class=B, mixing=mixing, D=D, N=N, p=p,
+                             b_sites=tuple(rng.integers(0, 2, N)))
+                op = ec_operator(prm)
+                diag_sites, off_sites = _site_stacks_oracle(prm)
+                assert op.diag_sites.dtype == op.off_sites.dtype == np.complex128
+                assert op.diag_sites.tobytes() == diag_sites.tobytes(), (p, prm.b_sites)
+                assert op.off_sites.tobytes() == off_sites.tobytes(), (p, prm.b_sites)
+
+
 # ---------------------------------------------------------------------------
 # dualities, crossover, renormalized threshold
 # ---------------------------------------------------------------------------
