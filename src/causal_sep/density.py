@@ -260,13 +260,17 @@ def _components(nz: np.ndarray) -> np.ndarray:
 # The "entries" value of a matrix file that is a JSON array of [re, im]
 # pairs of JSON numbers, JSON whitespace allowed between tokens.  The
 # possessive quantifiers (Python 3.11+) keep the match one pass with no
-# backtracking.
+# backtracking.  A pair may follow a run of [0.0,0.0] pairs, each a _PAIR and a
+# separator; _ZERO_RUN, split at, starts with the literal so that sre scans fast.
 _WS = rb"[ \t\n\r]*+"
 _NUMBER = rb"-?+(?:0|[1-9][0-9]*+)(?:\.[0-9]++)?+(?:[eE][+-]?+[0-9]++)?+"
 _PAIR = rb"\[" + _WS + _NUMBER + _WS + rb"," + _WS + _NUMBER + _WS + rb"\]"
+_ZEROS = rb"\[0\.0,0\.0\]," + _WS + rb"(?:\[0\.0,0\.0\]," + _WS + rb")*+"
+_ZERO_RUN = re.compile(rb"(" + _ZEROS + rb")")
+_PAIRS = rb"(?:" + _ZEROS + rb")?+" + _PAIR
 _ENTRIES = re.compile(
     rb'"entries"' + _WS + rb":" + _WS + rb"(\[" + _WS
-    + rb"(?:" + _PAIR + rb"(?:" + _WS + rb"," + _WS + _PAIR + rb")*+)?+" + _WS + rb"\])"
+    + rb"(?:" + _PAIRS + rb"(?:" + _WS + rb"," + _WS + _PAIRS + rb")*+)?+" + _WS + rb"\])"
 )
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
 # json reads the integer token -0 as +0.0, numpy's parser as -0.0
@@ -286,9 +290,9 @@ def matrix_to_payload(rho: DensityMatrix) -> dict:
 
 def matrix_chunks(rho: DensityMatrix) -> Iterator[str]:
     """The matrix file text in pieces, ``WRITE_CHUNK`` floats of entries at a
-    time: joined, byte for byte ``json.dumps(matrix_to_payload(rho),
-    separators=(",", ":"))`` and a newline.  json writes a float as its repr.
-    A non-finite entry raises here, before any piece is produced."""
+    time, a run of (+0.0, +0.0) pairs at once: joined, byte for byte
+    ``json.dumps(matrix_to_payload(rho), separators=(",", ":"))`` and a newline
+    (json writes a float as its repr).  A non-finite entry raises before any."""
     head = json.dumps(
         {"D": rho.D, "N": rho.N, "normalized": rho.normalized}, separators=(",", ":")
     )
@@ -299,11 +303,22 @@ def matrix_chunks(rho: DensityMatrix) -> Iterator[str]:
 
 
 def _entries_text(flat: np.ndarray) -> Iterator[str]:
+    """Each chunk as one join of cells re, ",", im, "],[" from one table: a row
+    per pair that is not (+0.0, +0.0), and one per run of those, im its rest."""
     for lo in range(0, flat.size, WRITE_CHUNK):
         if lo:
             yield "],["
-        floats = iter(float_texts(flat[lo : lo + WRITE_CHUNK]))
-        yield "],[".join(map(",".join, zip(floats, floats)))
+        pairs = flat[lo : lo + WRITE_CHUNK].reshape(-1, 2)
+        zero = np.bitwise_or(*pairs.view(np.int64).T) == 0  # both bits 0: -0.0 is not
+        first, stop = np.flatnonzero(np.diff(zero, prepend=False, append=False)).reshape(-1, 2).T
+        texts, inverse = _float_table(pairs[~zero].reshape(-1), repr)
+        runs = ["0.0" + "],[0.0,0.0" * (k - 1) for k in (stop - first).tolist()]
+        table = np.concatenate([np.array(["0.0", ",", "],[", *runs], dtype=object), texts])
+        cells = np.tile([0, 1, 0, 2], (len(pairs), 1))  # "0.0", ",", "0.0", "],["
+        cells[~zero, ::2] = inverse.reshape(-1, 2) + 3 + len(runs)
+        cells[first, 2] = 3 + np.arange(len(runs))
+        zero[first] = False  # the rows kept: each pair that is not zero, each run's first
+        yield "".join(table[cells[~zero].reshape(-1)[:-1]].tolist())
 
 
 def float_texts(values: np.ndarray, nonfinite=repr) -> list[str]:
@@ -311,11 +326,16 @@ def float_texts(values: np.ndarray, nonfinite=repr) -> list[str]:
     repr called once per distinct value, keyed on its bit pattern (0.0 and
     -0.0 keep their own texts), and ``nonfinite`` in place of repr for a
     non-finite one (``json.dumps`` spells NaN, Infinity, -Infinity)."""
+    return np.take(*_float_table(values, nonfinite)).tolist()
+
+
+def _float_table(values: np.ndarray, nonfinite) -> tuple[np.ndarray, np.ndarray]:
+    """``float_texts``' distinct texts, an object array, and the index of each value's."""
     distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
     texts = np.array(list(map(repr, distinct.view(np.float64).tolist())), dtype=object)
     odd = ~np.isfinite(distinct.view(np.float64))
     texts[odd] = list(map(nonfinite, distinct[odd].view(np.float64).tolist()))
-    return texts[inverse].tolist()
+    return texts, inverse
 
 
 def load_matrix(path: str) -> DensityMatrix:
@@ -326,10 +346,10 @@ def load_matrix(path: str) -> DensityMatrix:
     violated invariant and its magnitude.
 
     A top-level "entries" array of [re, im] pairs of JSON numbers is parsed
-    straight into one float64 array, in json's words on error.  Only a file
-    that breaks the format, or spells the key "entries" with an escape, goes
-    through ``json.loads`` and ``payload_to_matrix``.  Of a file with two
-    defects, the routes may name different ones.
+    straight into one float64 array, skipping runs of [0.0,0.0] pairs, in
+    json's words on error.  Only a file that breaks the format, or spells the
+    key "entries" with an escape, goes through ``json.loads`` and
+    ``payload_to_matrix``.  Of a file with two defects, the routes may differ.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -393,25 +413,30 @@ def _parse_pairs(data: bytes, start: int, end: int, size: int, origin: str) -> n
     one float64 array, read as json reads them, in slices of about
     ``PARSE_SLICE_BYTES``, each cut at the comma after a pair's closing
     bracket, so no copy of the whole text is made.  Each slice's integer
-    tokens -0 become 0 before numpy reads it.  A number beyond the float range
-    reads as inf; json reads the first such pair alone, so the error is json's."""
-    pairs = np.empty(size)
-    filled, lo = 0, start
+    tokens -0 become 0 before numpy reads it, and its ``_ZERO_RUN`` matches are
+    cut out, their pairs left zero.  A number beyond the float range reads as
+    inf; json reads the first such pair alone, so the error is json's."""
+    pairs = np.zeros(size).reshape(-1, 2)
+    filled, lo = 0, start + 1  # a count of pairs, and the first byte after the array's "["
     while lo < end:
         close = data.find(b"]", lo + PARSE_SLICE_BYTES, end)
         cut = data.find(b",", close, end) if close >= 0 else -1
         hi = end if cut < 0 else cut
-        text = _INTEGER_MINUS_ZERO.sub(b"0", data[lo:hi])
-        part = np.fromstring(text.translate(_BRACKETS_TO_SPACES), sep=",")
+        pieces = _ZERO_RUN.split(data[lo:hi])  # the text between runs, and the runs
+        runs = [run.count(b"[") for run in pieces[1::2]]
+        text = _INTEGER_MINUS_ZERO.sub(b"0", b"".join(pieces[::2]))
+        part = np.fromstring(text.translate(_BRACKETS_TO_SPACES), sep=",").reshape(-1, 2)
+        gaps = [gap.count(b"[") for gap in pieces[:-1:2]]  # pairs before each run
+        at = np.arange(len(part)) + np.repeat(np.cumsum([0, *runs]), gaps + [len(part) - sum(gaps)])
         if not np.isfinite(part).all():
-            j = int(np.argmin(np.isfinite(part))) // 2  # the slice's first pair with an inf
-            found = next(itertools.islice(re.finditer(_PAIR, data[lo:hi]), j, None))
+            j = int(np.argmin(np.isfinite(part).all(axis=1)))  # the slice's first pair with an inf
+            found = next(itertools.islice(re.finditer(_PAIR, text), j, None))
             pair = _loads(found.group(), origin)
-            raise MatrixFormatError(f"{origin}: entry {filled // 2 + j} is not finite: {pair!r}")
-        pairs[filled : filled + part.size] = part
-        filled += part.size
+            raise MatrixFormatError(f"{origin}: entry {filled + at[j]} is not finite: {pair!r}")
+        pairs[filled + at] = part
+        filled += len(part) + sum(runs)
         lo = hi + 1
-    return pairs
+    return pairs.reshape(-1)
 
 
 def payload_to_matrix(payload: object, *, origin: str = "<payload>") -> DensityMatrix:

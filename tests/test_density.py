@@ -706,6 +706,120 @@ def test_load_out_of_range_entry_errors_match_json_route(tmp_path, monkeypatch, 
                 assert str(got.value) == str(want.value)
 
 
+_SEPARATORS = [",", ",", ",", ", ", " ,", " , ", ",\n ", "\r\n,\t"]
+
+
+def _sparse_grid(dim, rng, zero_share, zeros=(("0.0", "0.0"),)):
+    """dim x dim Hermitian token grid of [0.0,0.0] pairs (or another spelling
+    from ``zeros``) at about ``zero_share`` of the entries, the first and the
+    last entry among them."""
+    grid = _edge_entries(_EDGE_TOKENS, dim, rng)
+    for i in range(dim):
+        for j in range(i, dim):
+            if (i, j) in ((0, 0), (dim - 1, dim - 1)) or rng.random() < zero_share:
+                grid[i * dim + j] = tuple(zeros[rng.integers(len(zeros))])
+                grid[j * dim + i] = tuple(zeros[rng.integers(len(zeros))])
+    return grid
+
+
+def _sparse_text(pairs, D, N, rng):
+    """A matrix file of compact pairs between separators drawn from _SEPARATORS."""
+    body = "".join(
+        (rng.choice(_SEPARATORS) if k else "") + f"[{a},{b}]" for k, (a, b) in enumerate(pairs)
+    )
+    return f'{{"D":{D},"N":{N},"normalized":false,"entries":[{body}]}}'
+
+
+@pytest.mark.parametrize("slice_bytes", [1, 7, 50, density.PARSE_SLICE_BYTES])
+def test_load_zero_runs_equal_json_route(tmp_path, monkeypatch, slice_bytes):
+    # runs of [0.0,0.0] pairs at the start, in the middle and up to the last
+    # pair (no comma after it), with whitespace before and after their
+    # commas, and zeros spelled otherwise among them, read bit for bit as
+    # json reads them
+    monkeypatch.setattr(density, "PARSE_SLICE_BYTES", slice_bytes)
+    monkeypatch.setattr(density, "payload_to_matrix", _refuse_json_route)
+    rng = np.random.default_rng(37)
+    other_zeros = [("0.0", "0.0"), ("-0.0", "0.0"), ("0", "-0"), ("0.00", "0e0"), ("0.0", "-0")]
+    for k, (D, N) in enumerate([(2, 1), (2, 2), (3, 2), (2, 3), (1, 0)] * 4):
+        zeros = other_zeros if k % 2 else other_zeros[:1]
+        pairs = _sparse_grid(D**N, rng, [0.5, 0.9, 1.0, 0.0][k // 5], zeros)
+        path = tmp_path / f"m{k}.json"
+        path.write_text(_sparse_text(pairs, D, N, rng))
+        want = np.array(json.loads(path.read_text())["entries"], dtype=np.float64)
+        got = load_matrix(str(path)).matrix.view(np.float64).reshape(-1, 2)
+        assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes(), path.read_text()
+
+
+def test_load_all_zero_matrix(tmp_path, monkeypatch):
+    monkeypatch.setattr(density, "payload_to_matrix", _refuse_json_route)
+    path = tmp_path / "zero.json"
+    for sep in [",", ", ", " ,\n"]:
+        pairs = sep.join(["[0.0,0.0]"] * 16)
+        path.write_text(f'{{"D":2,"N":2,"normalized":false,"entries":[{pairs}]}}')
+        got = load_matrix(str(path)).matrix
+        assert got.tobytes() == np.zeros((4, 4), dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("slice_bytes", [1, 7, 50, density.PARSE_SLICE_BYTES])
+def test_load_out_of_range_entry_after_zero_runs(tmp_path, monkeypatch, slice_bytes):
+    # the index of the entry named counts the zero pairs that were skipped
+    monkeypatch.setattr(density, "PARSE_SLICE_BYTES", slice_bytes)
+    monkeypatch.setattr(density, "payload_to_matrix", _refuse_json_route)
+    rng = np.random.default_rng(41)
+    path = tmp_path / "bad.json"
+    pairs = _sparse_grid(8, rng, 0.8)
+    for k in range(0, len(pairs), 3):
+        for part in (0, 1):
+            bad = [list(pair) for pair in pairs]
+            bad[k][part] = "1e400"
+            path.write_text(_sparse_text(bad, 2, 3, rng))
+            with pytest.raises(MatrixFormatError) as want:
+                _json_route(path)
+            with pytest.raises(MatrixFormatError) as got:
+                load_matrix(str(path))
+            assert str(got.value) == str(want.value)
+            assert f"entry {k} is not finite" in str(got.value)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("[0.5,0.0]]", "[0.[0.0,0.0],5,0.0]]"),  # inside a number
+        ("[0.5,0.0]]", "[0.5[0.0,0.0],,0.0]]"),
+        ("[0.5,0.0]]", "[0.5,[0.0,0.0],0.0]]"),  # inside a pair
+        ("[0.5,0.0]]", "[[0.0,0.0],0.5,0.0]]"),
+        ("[0.5,0.0]]", "[0.5,0.0[0.0,0.0],]]"),
+        ("[0.5,0.0]]", "[0.5,0.0],[0.0,0.0],]"),  # a trailing comma after a run
+        ("[0.5,0.0],", "[0.5,0.0],[0.0,0.0],,"),
+    ],
+)
+def test_load_spliced_zero_pair_errors_match_json_route(tmp_path, old, new):
+    zeros = _GOOD.replace("[0.1,-0.2],[0.1,0.2]", "[0.0,0.0],[0.0,0.0]")
+    path = tmp_path / "bad.json"
+    path.write_text(zeros.replace(old, new, 1))
+    with pytest.raises(MatrixFormatError) as want:
+        _json_route(path)
+    with pytest.raises(MatrixFormatError) as got:
+        load_matrix(str(path))
+    assert str(got.value) == str(want.value)
+
+
+def test_load_parses_no_zero_run(tmp_path, monkeypatch):
+    # at D=2 an EC matrix has two nonzero entries a row: the text numpy
+    # parses is that of those pairs, not of the runs of [0.0,0.0] between them
+    rho = build_ec_matrix(ECParams(ECClass.A, Mixing.STRONG, CouplingMode.N_FREE, 2, 8, 0.3 + 0.4j))
+    path = tmp_path / "ec.json"
+    save_matrix(rho, str(path))
+    parsed = []
+    fromstring = np.fromstring
+    monkeypatch.setattr(density.np, "fromstring", lambda text, **kw: (
+        parsed.append(len(text)), fromstring(text, **kw))[1])
+    assert load_matrix(str(path)).matrix.tobytes() == rho.matrix.tobytes()
+    data = path.read_bytes()
+    entries = len(data) - data.index(b'"entries":')
+    assert 0 < sum(parsed) < 0.05 * entries, (sum(parsed), entries)
+
+
 def test_read_marked_refuses_deep_nesting():
     # json.loads raises RecursionError, not ValueError, past its stack depth;
     # the whole-file route then names the file (tests/test_cli.py)
@@ -838,6 +952,24 @@ def test_matrix_chunks_keep_signed_zeros_apart(monkeypatch):
     want = json.dumps(matrix_to_payload(rho), separators=(",", ":")) + "\n"
     assert want == '{"D":2,"N":1,"normalized":true,"entries":[[0.5,0.0],[0.0,-0.0],[-0.0,0.0],[0.5,0.0]]}\n'
     assert "".join(density.matrix_chunks(rho)) == want
+
+
+@pytest.mark.parametrize("write_chunk", [6, 8, density.WRITE_CHUNK])
+def test_matrix_chunks_write_zero_runs_as_json_does(monkeypatch, write_chunk):
+    # runs of (+0.0, +0.0) pairs across chunk edges, whole chunks of them, and
+    # pairs with a -0.0 or a subnormal next to them, each in its own text
+    monkeypatch.setattr(density, "WRITE_CHUNK", write_chunk)
+    m = np.zeros((8, 8), dtype=complex)
+    m[0, 0], m[7, 7] = 0.25, 0.75
+    m[1, 2], m[2, 1] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    m[3, 5], m[5, 3] = complex(0.0, 5e-324), complex(0.0, -5e-324)
+    m[4, 4] = complex(-0.0, -0.0)
+    texts = []
+    for rho in (DensityMatrix(2, 3, m), DensityMatrix(2, 3, np.zeros((8, 8)), normalized=False)):
+        texts.append("".join(density.matrix_chunks(rho)))
+        assert texts[-1] == json.dumps(matrix_to_payload(rho), separators=(",", ":")) + "\n"
+    for pair in ("[-0.0,0.0]", "[0.0,-0.0]", "[0.0,5e-324]", "[0.0,-5e-324]", "[-0.0,-0.0]"):
+        assert pair in texts[0]
 
 
 def test_save_rejects_non_finite_entries(tmp_path):

@@ -1,6 +1,7 @@
 """Invariant checks driven by hypothesis: algebraic identities that must
 hold for every matrix and every subset, not just the worked examples."""
 import itertools
+import json
 import os
 import tempfile
 
@@ -16,6 +17,7 @@ from causal_sep.config_calculus import (
     partition_distinct,
 )
 from causal_sep.criterion import causal_W, classify
+from causal_sep import density
 from causal_sep.ec_family import ECClass, ECParams, all_variants, build_ec_matrix, ec_operator
 from causal_sep.density import (
     PartySubset,
@@ -24,7 +26,10 @@ from causal_sep.density import (
     config_to_index,
     hermitian_eigenvalues,
     load_matrix,
+    matrix_chunks,
+    matrix_to_payload,
     partial_transpose,
+    payload_to_matrix,
 )
 
 from conftest import (
@@ -356,3 +361,37 @@ def test_save_load_round_trip(dims, seed, as_state):
         back = load_matrix(path)
     assert np.array_equal(back.matrix, rho.matrix)
     assert (back.D, back.N, back.normalized) == (rho.D, rho.N, rho.normalized)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    DIMS, SEEDS, st.floats(0.0, 1.0),
+    st.sampled_from([2, 6, 8, density.WRITE_CHUNK]),
+    st.sampled_from([1, 7, 50, density.PARSE_SLICE_BYTES]),
+)
+def test_sparse_matrix_text_is_json(dims, seed, zero_share, write_chunk, slice_bytes):
+    # runs of (+0.0, +0.0) pairs among signed zeros: written as json.dumps
+    # writes them, and read back, in that spelling and two spaced ones, as
+    # json reads them, bit for bit
+    D, N = dims
+    rng = np.random.default_rng(seed)
+    m = random_hermitian(D, N, rng).matrix.copy()
+    mask = rng.random(m.shape) < zero_share
+    m[mask | mask.T] = 0
+    floats = m.view(np.float64)
+    floats[(floats == 0) & (rng.random(floats.shape) < 0.2)] = -0.0
+    rho = DensityMatrix(D, N, m, normalized=False)
+    saved = density.WRITE_CHUNK, density.PARSE_SLICE_BYTES
+    density.WRITE_CHUNK, density.PARSE_SLICE_BYTES = write_chunk, slice_bytes
+    try:
+        text = "".join(matrix_chunks(rho))
+        assert text == json.dumps(matrix_to_payload(rho), separators=(",", ":")) + "\n"
+        with tempfile.TemporaryDirectory() as td:
+            path = os.path.join(td, "matrix.json")
+            for spelling in (text, text.replace("],[", "], ["), text.replace(",", ", ")):
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(spelling)
+                want = payload_to_matrix(json.loads(spelling)).matrix
+                assert load_matrix(path).matrix.tobytes() == want.tobytes()
+    finally:
+        density.WRITE_CHUNK, density.PARSE_SLICE_BYTES = saved
