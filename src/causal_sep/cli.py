@@ -5,14 +5,14 @@ streamed a batch of rows at a time) go to stdout or --out; human
 diagnostics go to stderr.  Output is deterministic for identical inputs,
 with floats printed as shortest round-trip decimals.  Exit codes: 0
 success, 1 domain error, 2 I/O or parse error (argparse usage errors
-also exit 2).
+also exit 2).  A stdout closed by its reader (``causal-sep ... | head``)
+ends the run with exit 2 and nothing on stderr.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
+import os
 import sys
 from itertools import chain, cycle, islice, repeat
 from typing import Iterable, Iterator
@@ -99,14 +99,15 @@ def _json_scores(report: CriterionReport) -> Iterator[str]:
         yield ",".join(map("".join, cells))
 
 
-def _cell(x):
-    """A CSV cell: csv itself writes None as "", a float as its repr and
-    any other value as its str."""
+def _cell(x) -> str:
+    """A CSV cell: true/false, labels joined by ";", "" for None, else str (a
+    float's repr).  Cells come from enums, numbers, None, bools and label
+    lists, so none holds a comma, quote or newline: none is ever quoted."""
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (list, tuple)):
         return ";".join(map(str, x))
-    return x
+    return "" if x is None else str(x)
 
 
 def _csv_payload(
@@ -115,14 +116,9 @@ def _csv_payload(
     """CSV text: the header and the rows, ``SCORE_BATCH`` rows a piece, then
     one line per score of ``report``, a batch at a time, each joined from its
     pieces with no string per line."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     rows = chain([header], rows)
     while batch := list(islice(rows, SCORE_BATCH)):
-        buf.seek(0)
-        buf.truncate()
-        writer.writerows([_cell(x) for x in row] for row in batch)
-        yield buf.getvalue()
+        yield "".join(",".join(map(_cell, row)) + "\n" for row in batch)
     if report is not None:
         batches = _score_batches(report, ";", _CSV_SCORE_FIELDS)
         yield from map("".join, map(chain.from_iterable, batches))
@@ -502,7 +498,12 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.writelines(chunks)
         else:
-            sys.stdout.writelines(chunks)
+            try:
+                sys.stdout.writelines(chunks)
+                sys.stdout.flush()  # a closed pipe raises here, not at exit
+            except BrokenPipeError:  # stdout to the null device: the flush at exit is quiet too
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                return 2
     except (MatrixFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,6 +1,8 @@
 """Configuration combinatorics for N parties with D levels each.
 
-A *configuration* is a length-N tuple of labels in {0, ..., D-1}.  Two
+A *configuration* c is a length-N tuple of labels in {0, ..., D-1}.  Every
+table and matrix puts it at index sum(c[n] * D**(N-1-n)), lexicographic
+with the last party fastest (N=0: one empty configuration).  Two
 configurations are *completely orthogonal* when they differ in every
 component.  The number of mutually "distinct" configurations one can pick
 under the greedy rule below is
@@ -18,7 +20,6 @@ K = D^(N-1) exactly.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -29,14 +30,10 @@ import numpy as np
 
 Configuration = tuple[int, ...]
 
-# Hard budget on D^N for anything that materializes the configuration list.
+# Most grid points (--steps) and |m| values that a command lists.
 ENUMERATION_CAP = 2**20
 # Largest D^N of a matrix, dense or as site factors.
 DIM_CAP = 4096
-
-
-class EnumerationBudgetError(ValueError):
-    """D^N exceeds the enumeration budget for an explicit listing."""
 
 
 class CouplingMode(Enum):
@@ -45,18 +42,17 @@ class CouplingMode(Enum):
 
 
 # ---------------------------------------------------------------------------
-# enumeration and orthogonality
+# the layout and orthogonality
 # ---------------------------------------------------------------------------
 
-def enumerate_configurations(D: int, N: int) -> list[Configuration]:
-    """All D^N configurations in lexicographic order (last party fastest)."""
-    check_dims(D, N)
-    total = D**N
-    if total > ENUMERATION_CAP:
-        raise EnumerationBudgetError(
-            f"enumeration of D^N = {total} configurations exceeds the cap {ENUMERATION_CAP}"
-        )
-    return list(itertools.product(range(D), repeat=N))
+def label_weights(D: int, N: int) -> np.ndarray:
+    """The D**(N-1-n): ``labels @ label_weights(D, N)`` indexes a label array."""
+    return D ** np.arange(N - 1, -1, -1)
+
+
+def config_labels(D: int, N: int) -> np.ndarray:
+    """The (D^N, N) int64 label array of all configurations, in index order."""
+    return np.indices((D,) * N).reshape(N, D**N).T
 
 
 def orthogonal_partners(
@@ -89,8 +85,7 @@ def partner_labels(configs: np.ndarray, D: int, mode: CouplingMode) -> np.ndarra
         first = np.arange(D - 1)[:, None]
         first = first + (first >= configs[:, 0])
         return (configs + (first - configs[:, 0])[..., None]) % D
-    choices = itertools.product(range(D - 1), repeat=configs.shape[1])
-    choices = np.array(list(choices), dtype=np.int64).reshape(-1, 1, configs.shape[1])
+    choices = config_labels(D - 1, configs.shape[1])[:, None, :]
     return choices + (choices >= configs)
 
 
@@ -141,8 +136,8 @@ def count_configurations(D: int, N: int, mode: CouplingMode) -> ConfigCensus:
 
 
 class ConfigPartition(NamedTuple):
-    distinct: list[Configuration]
-    orthogonal: list[Configuration]
+    distinct: np.ndarray
+    orthogonal: np.ndarray
 
 
 def partition_distinct(D: int, N: int) -> ConfigPartition:
@@ -155,9 +150,11 @@ def partition_distinct(D: int, N: int) -> ConfigPartition:
     c_0 != 0 and is completely orthogonal to the (0, d_1, ..., d_{N-1})
     with every d_n != c_n, so none does.  For D=2 the greedy size D^(N-1)
     equals the census K; for D>2 it exceeds it (overlapping partner sets),
-    which callers are expected to report rather than hide.
+    which callers are expected to report rather than hide.  Both parts are
+    rows of ``config_labels``; a D^N above DIM_CAP is refused first.
     """
-    configs = enumerate_configurations(D, N)
+    check_dims(D, N, capped=True)
+    configs = config_labels(D, N)
     split = greedy_distinct_count(D, N)
     return ConfigPartition(configs[:split], configs[split:])
 

@@ -36,6 +36,7 @@ from .config_calculus import (
     Configuration,
     CouplingMode,
     check_dims,
+    label_weights,
     partition_distinct,
     partner_labels,
 )
@@ -204,7 +205,7 @@ def _gather(
     DensityMatrix or an ``ec_family.KronSum``.
     """
     D, dim = rho.D, rho.dim
-    weights = D ** np.arange(rho.N - 1, -1, -1)
+    weights = label_weights(D, rho.N)
     diag = lambda index: rho.entries(index * (dim + 1)).real
     p_ign = diag(j @ weights) * sum(diag(partner_labels(j, D, mode) @ weights), 0.0)
     l = partner_labels(j, D, _swapped(mode))
@@ -236,5 +237,4 @@ def classify(rho: DensityMatrix, mode: CouplingMode) -> CriterionReport:
     if not rho.normalized:
         raise ValueError("classify expects a normalized density matrix")
     distinct = partition_distinct(rho.D, rho.N).distinct
-    configs = np.array(distinct, dtype=np.int64)
-    return _report(rho, configs, tuple(canonical_subsets(rho.N)), mode)
+    return _report(rho, distinct, tuple(canonical_subsets(rho.N)), mode)

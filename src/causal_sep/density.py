@@ -1,8 +1,8 @@
 """Dense density-matrix substrate for N parties with D levels each.
 
-Row and column indices encode configurations lexicographically with the
-last party varying fastest: index = sum(label[n] * D**(N-1-n)).  N=0 is
-permitted and denotes the 1x1 scalar (the tensor-product identity).
+Row and column indices are configuration indices in ``config_calculus``'
+layout.  N=0 is permitted and denotes the 1x1 scalar (the tensor-product
+identity).
 
 The on-disk format is JSON:
 
@@ -23,12 +23,12 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .config_calculus import Configuration, check_dims
+from .config_calculus import Configuration, check_dims, config_labels, label_weights
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
-# Byte budget of one row block of the Hermiticity check
-ASYMMETRY_BLOCK_BYTES = 4 * 2**20
+# Byte budget of one block of rows of a dense pass (Hermiticity check, EC build)
+ROW_BLOCK_BYTES = 4 * 2**20
 
 
 class MatrixFormatError(RuntimeError):
@@ -150,7 +150,7 @@ class DensityMatrix:
 
 def _max_asymmetry(arr: np.ndarray) -> float:
     """max |M - M^dag| in row blocks, with no dim x dim temporary; inf on overflow."""
-    step = max(1, ASYMMETRY_BLOCK_BYTES // (16 * len(arr)))
+    step = max(1, ROW_BLOCK_BYTES // (16 * len(arr)))
     # np.max, unlike max(), keeps a NaN from any block
     with np.errstate(over="ignore", invalid="ignore"):
         return float(np.max([
@@ -198,7 +198,7 @@ def pt_flat(rows: np.ndarray, cols: np.ndarray, D: int, in_subset: np.ndarray) -
     With s(x) = sum over n in S of x_n D^(N-1-n), the entry is
     rho[r + s(c) - s(r), c - s(c) + s(r)], at r*dim + c + (s(c) - s(r))*(dim - 1).
     In ``in_subset``'s dtype; exact in floats, as each value is an integer below 2*dim**2."""
-    weights = D ** np.arange(rows.shape[-1] - 1, -1, -1)
+    weights = label_weights(D, rows.shape[-1])
     dim, part = D * weights[0], in_subset * weights[:, None]
     shift = cols @ part - rows @ part
     shift *= dim - 1
@@ -227,7 +227,7 @@ def hermitian_eigenvalues(rho: DensityMatrix, subset: PartySubset | None = None)
     order = np.argsort(labels, kind="stable")  # each component's indices, ascending
     sizes = np.bincount(labels)
     starts = np.cumsum(sizes) - sizes
-    digits = np.arange(dim)[:, None] // D ** np.arange(N - 1, -1, -1) % D  # each index's labels
+    digits = config_labels(D, N)  # each index's labels
     in_subset = np.isin(np.arange(N), () if subset is None else subset.members)[:, None]
     spectra = []
     for size in np.unique(sizes):

@@ -61,7 +61,6 @@ single point p = 1/2 exactly (g = 0 in the logistic).
 """
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -71,11 +70,9 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .config_calculus import ENUMERATION_CAP, CouplingMode, check_dims
+from . import density
+from .config_calculus import ENUMERATION_CAP, CouplingMode, check_dims, config_labels, label_weights
 from .density import TRACE_TOL, DensityMatrix
-
-# Byte budget of one block of rows of a dense EC build
-BUILD_BLOCK_BYTES = 4 * 2**20
 
 
 class ECClass(Enum):
@@ -176,7 +173,7 @@ class KronSum:
         """Entries at the row-major flat indices ``row * dim + col``."""
         # a leading axis over the parties holds the site labels of row and col
         shape = (self.N,) + (1,) * flat.ndim
-        powers = self.D ** np.arange(self.N - 1, -1, -1).reshape(shape)
+        powers = label_weights(self.D, self.N).reshape(shape)
         row, col = np.divmod(flat, self.dim)
         at = (np.arange(self.N).reshape(shape), row // powers % self.D, col // powers % self.D)
         return reduce(np.multiply, self.diag_sites[at]) + reduce(np.multiply, self.off_sites[at])
@@ -238,18 +235,18 @@ def build_ec_matrix(params: ECParams) -> DensityMatrix:
     D, N, dim = op.D, op.N, op.dim
     # a block is the rows whose first ``fixed`` site labels agree
     fixed = 0
-    while fixed < N and 16 * dim * D ** (N - fixed) > BUILD_BLOCK_BYTES:
+    while fixed < N and 16 * dim * D ** (N - fixed) > density.ROW_BLOCK_BYTES:
         fixed += 1
     matrix = np.empty((dim, dim), dtype=np.complex128)
     blocks = matrix.reshape(D**fixed, -1, dim)
-    for block, labels in zip(blocks, itertools.product(range(D), repeat=fixed)):
+    for block, labels in zip(blocks, config_labels(D, fixed).tolist()):
         block[...] = _kron_rows(op.diag_sites, labels)
         block += _kron_rows(op.off_sites, labels)
     trace = float(np.trace(matrix).real)
     return DensityMatrix._adopt(D, N, matrix, abs(trace - 1.0) <= TRACE_TOL, hermitian=True)
 
 
-def _kron_rows(sites: np.ndarray, labels: tuple[int, ...]) -> np.ndarray:
+def _kron_rows(sites: np.ndarray, labels: list[int]) -> np.ndarray:
     """The rows of ``reduce(np.kron, sites)`` whose leading site labels are
     ``labels``, formed by ``np.kron`` from the same factors."""
     rows = [site[i : i + 1] for site, i in zip(sites, labels)]

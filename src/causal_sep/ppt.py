@@ -47,7 +47,8 @@ class PptVerdict:
 
 
 def ppt_check(rho: DensityMatrix, subset: PartySubset) -> PptVerdict:
-    """Eigenvalue test of the partial transpose over one party subset."""
+    """Eigenvalue test of the partial transpose over one party subset;
+    ``conclusive`` when D = N = 2 and rho itself is PSD within PPT_TOL."""
     if not rho.normalized:
         raise ValueError("ppt_check expects a normalized density matrix")
     spectrum = hermitian_eigenvalues(rho, subset)
@@ -61,7 +62,7 @@ def ppt_check(rho: DensityMatrix, subset: PartySubset) -> PptVerdict:
         subset=subset,
         min_eigenvalue=min_eig,
         verdict=verdict,
-        conclusive=(rho.D == 2 and rho.N == 2),
+        conclusive=rho.D == rho.N == 2 and float(hermitian_eigenvalues(rho)[0]) >= -PPT_TOL,
     )
 
 

@@ -112,3 +112,21 @@ def bell_state(kind):
     arr[i, i] = arr[j, j] = 0.5
     arr[i, j] = arr[j, i] = sign * 0.5
     return DensityMatrix(D=2, N=2, matrix=arr, normalized=True)
+
+
+def werner_state(p):
+    """The two-qubit Werner state p |Phi+><Phi+| + (1 - p) I/4, entangled
+    exactly for p > 1/3 (Peres)."""
+    return DensityMatrix(
+        D=2, N=2, matrix=p * bell_state("phi+").matrix + (1 - p) * np.eye(4) / 4, normalized=True
+    )
+
+
+def two_qubit_state(values):
+    """The two-qubit state G G^dag / tr(G G^dag) of the 4x4 complex matrix G
+    whose real and imaginary parts are the 32 ``values`` (Ginibre: a
+    Hilbert-Schmidt random state for normal ``values``)."""
+    raw = np.asarray(values, dtype=np.float64).reshape(2, 4, 4)
+    g = raw[0] + 1j * raw[1]
+    psd = g @ g.conj().T
+    return DensityMatrix(D=2, N=2, matrix=psd / np.trace(psd).real, normalized=True)

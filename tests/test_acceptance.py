@@ -172,7 +172,7 @@ def test_criterion_4_closed_form_matches_matrix_route():
         for N in (2, 3):
             s0 = PartySubset((0,), N)
             j0 = (0,) * N
-            distinct = partition_distinct(D, N).distinct
+            distinct = [tuple(j) for j in partition_distinct(D, N).distinct.tolist()]
             for mixing in (WEAK, STRONG):
                 for i in range(101):
                     p = i / 100

@@ -3,10 +3,13 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1230,3 +1233,65 @@ def test_out_flag_unwritable_path(tmp_path, capsys):
     )
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_closed_stdout_ends_the_run_quietly(tmp_path, fmt):
+    # the reader takes 20 bytes of a payload of about 1 MB and closes the
+    # pipe: the run ends with exit 2, the I/O code, and writes nothing to
+    # stderr, not even when the interpreter flushes stdout at shutdown
+    matrix_file = tmp_path / "ec.json"
+    params = ECParams(ECClass.A, Mixing.STRONG, CouplingMode.N_FREE, D=2, N=8, p=0.3)
+    save_matrix(build_ec_matrix(params), matrix_file)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-m", "causal_sep.cli", "classify", "--input", str(matrix_file),
+            "--format", fmt]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(20)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert err == b""
+    assert head.startswith(b'{"schema":' if fmt == "json" else b"config,subset,")
+
+
+def _csv_commands(tmp_path, capsys):
+    """One argv per CSV table of the CLI, its matrix files written to ``tmp_path``."""
+    bell = str(tmp_path / "bell.json")
+    save_matrix(bell_state("psi+"), bell)
+    ec = str(tmp_path / "ec.json")
+    variant = ["--class", "a", "--mixing", "weak", "--coupling", "free"]
+    assert run_cli(["ec", "build", *variant, "--D", "2", "--N", "3", "--p", "0.4", "--out", ec],
+                   capsys)[0] == 0
+    grid = ["--D", "2", "--N", "3", "--steps", "5"]
+    return [
+        ["config-count", "--D", "3", "--N", "2"],
+        ["ec", "threshold", "--D", "3", "--N", "4"],  # the empty m_abs cell of class a
+        ["ec", "threshold", "--class", "b", "--mixing", "strong", "--coupling", "coupled",
+         "--D", "3", "--N", "4", "--m-abs", "2"],
+        ["ec", "sweep", *variant, *grid],
+        ["ec", "sweep", "--class", "b", "--mixing", "weak", "--m-abs", "1", *grid],
+        ["classify", "--input", bell],
+        ["classify", "--input", ec, "--coupling", "coupled"],
+        ["ppt", "--input", bell],
+        ["ppt", "--input", ec],
+        ["compare", *variant, *grid],
+        ["duality", "--D", "3", "--N", "4"],
+        ["crossover", "--D", "3"],
+    ]
+
+
+def test_every_csv_table_is_plain_comma_separated_lines(tmp_path, capsys):
+    # no cell holds a comma, quote or newline, so csv reads each line back as
+    # its split at commas, and csv.writer writes those cells back byte for byte
+    for argv in _csv_commands(tmp_path, capsys):
+        code, out, err = run_cli(argv + ["--format", "csv"], capsys)
+        assert (code, err) == (0, ""), argv
+        lines = out.splitlines()
+        assert out == "".join(line + "\n" for line in lines) and len(lines) > 1, argv
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows == [line.split(",") for line in lines], argv
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        assert buf.getvalue() == out, argv

@@ -8,9 +8,9 @@ from conftest import is_completely_orthogonal
 from causal_sep.config_calculus import (
     ConfigCensus,
     CouplingMode,
-    EnumerationBudgetError,
+    config_labels,
     count_configurations,
-    enumerate_configurations,
+    label_weights,
     orthogonal_partners,
     partition_distinct,
 )
@@ -29,31 +29,38 @@ FREE = CouplingMode.N_FREE
 COUPLED = CouplingMode.N_COUPLED
 
 
-def test_enumerate_small():
-    assert enumerate_configurations(2, 2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert enumerate_configurations(1, 3) == [(0, 0, 0)]
+def test_config_labels_small():
+    assert config_labels(2, 2).tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert config_labels(1, 3).tolist() == [[0, 0, 0]]
+    # one empty configuration at N = 0, none at D = 0 (the free partners of D = 1)
+    assert config_labels(3, 0).shape == (1, 0)
+    assert config_labels(0, 3).shape == (0, 3)
+    assert config_labels(2, 3).dtype == np.int64
 
 
-def test_enumerate_lexicographic_last_fastest():
-    configs = enumerate_configurations(3, 2)
-    assert len(configs) == 9
-    assert configs[0] == (0, 0)
-    assert configs[1] == (0, 1)  # last subsystem varies fastest
-    assert configs[-1] == (2, 2)
-    assert configs == sorted(configs)
+@pytest.mark.parametrize("D, N", [(1, 1), (2, 1), (3, 2), (2, 5), (4, 3)])
+def test_config_labels_lexicographic_last_fastest(D, N):
+    configs = config_labels(D, N)
+    assert configs.tolist() == sorted(configs.tolist())
+    assert configs[:2].tolist() == [[0] * N, [0] * (N - 1) + [1]][: D**N]
+    # row k is the configuration of index k
+    assert np.array_equal(configs @ label_weights(D, N), np.arange(D**N))
 
 
-def test_enumerate_budget():
-    # 2^21 configurations exceed the 2^20 cap
-    with pytest.raises(EnumerationBudgetError):
-        enumerate_configurations(2, 21)
+def test_partition_refuses_over_the_dimension_cap():
+    # 2^13 configurations exceed DIM_CAP = 4096: refused in check_dims' words
+    with pytest.raises(ValueError, match=r"^D\^N = 8192 exceeds the dimension cap 4096$"):
+        partition_distinct(2, 13)
+    with pytest.raises(ValueError, match=r"^N = 13 parties exceed the dimension cap 4096$"):
+        partition_distinct(1, 13)
+    assert len(partition_distinct(2, 12).distinct) == 2**11
 
 
-def test_enumerate_bad_dims():
-    with pytest.raises(ValueError):
-        enumerate_configurations(0, 2)
-    with pytest.raises(ValueError):
-        enumerate_configurations(2, 0)
+def test_partition_bad_dims():
+    with pytest.raises(ValueError, match="integer D >= 1"):
+        partition_distinct(0, 2)
+    with pytest.raises(ValueError, match="integer N >= 1"):
+        partition_distinct(2, 0)
 
 
 # (entry point, dimension name, value below its minimum, error type)
@@ -160,22 +167,22 @@ def test_census_invariant_guard():
 
 def test_partition_small():
     part = partition_distinct(2, 2)
-    assert part.distinct == [(0, 0), (0, 1)]
-    assert part.orthogonal == [(1, 0), (1, 1)]
+    assert part.distinct.tolist() == [[0, 0], [0, 1]]
+    assert part.orthogonal.tolist() == [[1, 0], [1, 1]]
     part = partition_distinct(1, 2)
-    assert part.distinct == [(0, 0)]
-    assert part.orthogonal == []
+    assert part.distinct.tolist() == [[0, 0]]
+    assert part.orthogonal.shape == (0, 2)
 
 
 def test_partition_covers_everything():
-    part = partition_distinct(3, 3)
-    assert len(part.distinct) + len(part.orthogonal) == 27
+    distinct, orthogonal = (configs.tolist() for configs in partition_distinct(3, 3))
+    assert len(distinct) + len(orthogonal) == 27
     # every orthogonal config has a completely orthogonal distinct witness
-    for c in part.orthogonal:
-        assert any(is_completely_orthogonal(c, d) for d in part.distinct)
+    for c in orthogonal:
+        assert any(is_completely_orthogonal(c, d) for d in distinct)
     # no distinct pair is completely orthogonal
-    for i, a in enumerate(part.distinct):
-        for b in part.distinct[i + 1 :]:
+    for i, a in enumerate(distinct):
+        for b in distinct[i + 1 :]:
             assert not is_completely_orthogonal(a, b)
 
 

@@ -31,7 +31,7 @@ from causal_sep.density import (
     payload_to_matrix,
 )
 from causal_sep.ec_family import ECClass, ECParams, Mixing, all_variants, build_ec_matrix
-from causal_sep.config_calculus import CouplingMode, enumerate_configurations
+from causal_sep.config_calculus import CouplingMode, config_labels
 
 
 def test_index_encoding_last_party_fastest():
@@ -39,7 +39,7 @@ def test_index_encoding_last_party_fastest():
     assert config_to_index((0, 1), 2) == 1
     assert config_to_index((1, 0), 2) == 2
     assert config_to_index((1, 2), 3) == 5
-    for idx, c in enumerate(enumerate_configurations(3, 3)):
+    for idx, c in enumerate(map(tuple, config_labels(3, 3).tolist())):
         assert config_to_index(c, 3) == idx
 
 

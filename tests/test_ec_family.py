@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from causal_sep.config_calculus import ENUMERATION_CAP, CouplingMode, check_dims
-from causal_sep import ec_family
+from causal_sep import density, ec_family
 from causal_sep.criterion import causal_W
 from causal_sep.density import PartySubset, hermitian_eigenvalues
 from causal_sep.ec_family import (
@@ -718,11 +718,11 @@ def test_build_equals_two_kron_sum_bit_for_bit(monkeypatch, D, N, variant):
     rng = np.random.default_rng(10 * D + N)
     dim = D**N
     # one block (the default at these sizes), D^(N-1) rows, D rows, one row a block
-    budgets = [ec_family.BUILD_BLOCK_BYTES, 16 * dim * D ** (N - 1), 16 * dim * D, 1]
+    budgets = [density.ROW_BLOCK_BYTES, 16 * dim * D ** (N - 1), 16 * dim * D, 1]
     for prm in _sample_params(variant, D, N, rng):
         want = _two_kron_sum(prm).view(np.int64)  # signed zeros compared too
         for budget in budgets:
-            monkeypatch.setattr(ec_family, "BUILD_BLOCK_BYTES", budget)
+            monkeypatch.setattr(density, "ROW_BLOCK_BYTES", budget)
             got = build_ec_matrix(prm).matrix.view(np.int64)
             assert np.array_equal(got, want), (prm.p, prm.b_sites, budget)
 

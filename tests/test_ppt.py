@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 
 from causal_sep.config_calculus import CouplingMode
+from causal_sep.criterion import OverallVerdict, classify
 from causal_sep.density import (
     DensityMatrix,
     PartySubset,
     canonical_subsets,
     hermitian_eigenvalues,
+    load_matrix,
     partial_transpose,
 )
 from causal_sep.ec_family import ECClass, ECParams, Mixing, all_variants, build_ec_matrix
 from causal_sep.ppt import PptOutcome, any_npt, ppt_check, ppt_report
 
-from conftest import bell_state, maximally_mixed, run_cli
+from conftest import bell_state, maximally_mixed, run_cli, save_matrix, werner_state
 
 S1 = PartySubset((1,), 2)
 
@@ -44,6 +46,43 @@ def test_conclusive_only_for_two_qubits():
     v = ppt_check(maximally_mixed(3, 2), PartySubset((1,), 2))
     assert v.conclusive is False
     assert ppt_check(maximally_mixed(2, 3), PartySubset((0,), 3)).conclusive is False
+
+
+def test_conclusive_needs_a_positive_semidefinite_matrix(tmp_path, capsys):
+    # two unit-trace Hermitian 2x2 matrices that are not states: the
+    # a-strong-free EC matrix at p = 0.7 (minimum eigenvalue -0.28) and the
+    # Bell projector's partial transpose (eigenvalues -1/2, 1/2, 1/2, 1/2)
+    ec, bell_pt = str(tmp_path / "ec.json"), str(tmp_path / "bell_pt.json")
+    argv = ["ec", "build", "--class", "a", "--mixing", "strong", "--coupling", "free",
+            "--D", "2", "--N", "2", "--p", "0.7", "--out", ec]
+    assert run_cli(argv, capsys)[0] == 0
+    save_matrix(partial_transpose(bell_state("phi+"), S1), bell_pt)
+    for path, overall, min_eig in (
+        (ec, "npt_entangled", -0.28),
+        (bell_pt, "ppt_separable_consistent", -0.5),
+    ):
+        code, out, _ = run_cli(["ppt", "--input", path], capsys)
+        payload = json.loads(out)
+        assert code == 0 and payload["overall"] == overall
+        assert [c["conclusive"] for c in payload["checks"]] == [False]
+        rho = load_matrix(path)
+        assert hermitian_eigenvalues(rho)[0] == pytest.approx(min_eig, abs=1e-12)
+        assert ppt_check(rho, S1).conclusive is False
+
+
+def test_werner_state_flips_at_one_third_on_every_route():
+    # p |Phi+><Phi+| + (1 - p) I/4 on a 1001-point grid: PPT and the
+    # criterion in both modes read entangled from the first point above 1/3 on
+    grid = np.linspace(0.0, 1.0, 1001).tolist()
+    first = grid.index(0.334)
+    assert grid[first - 1] < 1 / 3 < grid[first]
+    states = [werner_state(p) for p in grid]
+    want = [k >= first for k in range(len(grid))]
+    assert [ppt_check(rho, S1).verdict is PptOutcome.NPT_ENTANGLED for rho in states] == want
+    for mode in CouplingMode:
+        assert [classify(rho, mode).overall is OverallVerdict.ENTANGLED for rho in states] == want
+    # a state throughout, so PPT is conclusive at every point
+    assert all(ppt_check(rho, S1).conclusive for rho in states)
 
 
 def test_check_reads_rho_with_no_partial_transpose_copy():

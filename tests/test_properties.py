@@ -7,18 +7,18 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from causal_sep.config_calculus import (
     CouplingMode,
     count_configurations,
-    enumerate_configurations,
     orthogonal_partners,
     partition_distinct,
 )
-from causal_sep.criterion import causal_W, classify
+from causal_sep.criterion import OverallVerdict, causal_W, classify
 from causal_sep import density
 from causal_sep.ec_family import ECClass, ECParams, all_variants, build_ec_matrix, ec_operator
+from causal_sep.ppt import PptOutcome, ppt_check
 from causal_sep.density import (
     PartySubset,
     DensityMatrix,
@@ -39,6 +39,7 @@ from conftest import (
     random_state,
     save_matrix,
     transpose_parties,
+    two_qubit_state,
 )
 
 FREE = CouplingMode.N_FREE
@@ -217,6 +218,18 @@ def test_decomposition_identity(dims, seed, mode):
         )
 
 
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=32, max_size=32))
+def test_criterion_entangled_two_qubit_states_are_npt(values):
+    # soundness where PPT is exact (Peres-Horodecki at 2x2): a state that the
+    # criterion reads entangled in either mode has an NPT partial transpose.
+    # A counterexample is a defect in the criterion, not a bound to loosen
+    assume(sum(x * x for x in values) >= 1e-6)  # tr(G G^dag), the normalizer
+    rho = two_qubit_state(values)
+    if any(classify(rho, mode).overall is OverallVerdict.ENTANGLED for mode in (FREE, COUPLED)):
+        assert ppt_check(rho, PartySubset((0,), 2)).verdict is PptOutcome.NPT_ENTANGLED
+
+
 # ---------------------------------------------------------------------------
 # the gather kernel against the per-pair partial-transpose route
 # ---------------------------------------------------------------------------
@@ -259,7 +272,7 @@ def _greedy_distinct(D, N):
     """The greedy walk: a configuration is distinct unless it is completely
     orthogonal to one picked before it."""
     distinct = []
-    for c in enumerate_configurations(D, N):
+    for c in itertools.product(range(D), repeat=N):
         if not any(is_completely_orthogonal(c, d) for d in distinct):
             distinct.append(c)
     return distinct
@@ -310,10 +323,10 @@ def test_classify_matches_partial_transpose_oracle(dims, seed, mode, psd):
 def test_partition_matches_greedy_walk(D, N):
     part = partition_distinct(D, N)
     distinct = _greedy_distinct(D, N)
-    assert part.distinct == distinct
+    assert [tuple(c) for c in part.distinct.tolist()] == distinct
     chosen = set(distinct)
-    assert part.orthogonal == [
-        c for c in enumerate_configurations(D, N) if c not in chosen
+    assert [tuple(c) for c in part.orthogonal.tolist()] == [
+        c for c in itertools.product(range(D), repeat=N) if c not in chosen
     ]
 
 
