@@ -257,7 +257,7 @@ def _components(nz: np.ndarray) -> np.ndarray:
 # serialization
 # ---------------------------------------------------------------------------
 
-# The "entries" value of a matrix file that is a JSON array of [re, im]
+# An object member's value, after its colon, that is a JSON array of [re, im]
 # pairs of JSON numbers, JSON whitespace allowed between tokens.  The
 # possessive quantifiers (Python 3.11+) keep the match one pass with no
 # backtracking.  A pair may follow a run of [0.0,0.0] pairs, each a _PAIR and a
@@ -269,7 +269,7 @@ _ZEROS = rb"\[0\.0,0\.0\]," + _WS + rb"(?:\[0\.0,0\.0\]," + _WS + rb")*+"
 _ZERO_RUN = re.compile(rb"(" + _ZEROS + rb")")
 _PAIRS = rb"(?:" + _ZEROS + rb")?+" + _PAIR
 _ENTRIES = re.compile(
-    rb'"entries"' + _WS + rb":" + _WS + rb"(\[" + _WS
+    rb":" + _WS + rb"(\[" + _WS
     + rb"(?:" + _PAIRS + rb"(?:" + _WS + rb"," + _WS + _PAIRS + rb")*+)?+" + _WS + rb"\])"
 )
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
@@ -345,11 +345,11 @@ def load_matrix(path: str) -> DensityMatrix:
     flag) is rejected in ``DensityMatrix``'s words, after the path: the
     violated invariant and its magnitude.
 
-    A top-level "entries" array of [re, im] pairs of JSON numbers is parsed
-    straight into one float64 array, skipping runs of [0.0,0.0] pairs, in
-    json's words on error.  Only a file that breaks the format, or spells the
-    key "entries" with an escape, goes through ``json.loads`` and
-    ``payload_to_matrix``.  Of a file with two defects, the routes may differ.
+    A top-level "entries" array of [re, im] pairs of JSON numbers, however
+    its key is spelled, is parsed straight into one float64 array, skipping
+    runs of [0.0,0.0] pairs, in json's words on error.  Only a file that
+    breaks the format goes through ``json.loads`` and ``payload_to_matrix``,
+    which name its defect.  Of a file with two defects, the routes may differ.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -379,14 +379,17 @@ def _loads(data: bytes, origin: str) -> object:
         raise MatrixFormatError(f"{origin}: {exc}") from None
     except RecursionError:
         raise MatrixFormatError(f"{origin}: JSON nesting too deep to parse") from None
+    except MemoryError:  # only a file that breaks the format is parsed whole
+        message = f"{origin}: breaks the matrix format and is too large to parse whole"
+        raise MatrixFormatError(message) from None
 
 
 def _split_entries(data: bytes) -> tuple[dict, int, int] | None:
-    """(header, start, end) when ``data[start:end]``, an ``_ENTRIES`` match, is
-    the "entries" value json keeps, whatever the escapes, nesting or duplicate
-    keys; the header is json's reading with it replaced.  With every match k
-    replaced by [k], json keeps [k] only from match k or a literal [k]; with
-    match k alone replaced by [~k], only from match k."""
+    """(header, start, end) when ``data[start:end]``, an ``_ENTRIES`` match (any
+    member's array of pairs, even in a string), is the "entries" value json
+    keeps, whatever the key's escapes, nesting or duplicates; the header is
+    json's reading with it replaced.  With every match k replaced by [k], json
+    keeps [k] only from k or a literal [k]; with k alone by [~k], only from k."""
     spans = [found.span(1) for found in _ENTRIES.finditer(data)]
     every = _read_marked(data, spans, range(len(spans))) if spans else None
     kept = every.get("entries") if isinstance(every, dict) else None

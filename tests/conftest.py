@@ -114,12 +114,16 @@ def bell_state(kind):
     return DensityMatrix(D=2, N=2, matrix=arr, normalized=True)
 
 
-def werner_state(p):
-    """The two-qubit Werner state p |Phi+><Phi+| + (1 - p) I/4, entangled
-    exactly for p > 1/3 (Peres)."""
-    return DensityMatrix(
-        D=2, N=2, matrix=p * bell_state("phi+").matrix + (1 - p) * np.eye(4) / 4, normalized=True
-    )
+def ghz_mixture(D, N, p):
+    """p |GHZ><GHZ| + (1 - p) I/D^N, GHZ = (|0...0> + ... + |D-1...D-1>)/sqrt(D).
+    At (2,2) the Werner state, entangled exactly for p > 1/3 (Peres); at N = 2
+    the isotropic state, NPT exactly for p > 1/(D+1); at (2,3) NPT over every
+    cut exactly for p > 1/5."""
+    dim = D**N
+    same = np.arange(D) * ((dim - 1) // (D - 1))  # the indices of |d...d>
+    arr = (1 - p) * np.eye(dim, dtype=np.complex128) / dim
+    arr[np.ix_(same, same)] += p / D
+    return DensityMatrix(D=D, N=N, matrix=arr, normalized=True)
 
 
 def two_qubit_state(values):

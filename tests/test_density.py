@@ -13,6 +13,7 @@ from conftest import (
     element,
     maximally_mixed,
     random_hermitian,
+    run_cli,
     save_matrix,
     transpose_parties,
 )
@@ -669,17 +670,42 @@ def test_load_errors_match_json_route(tmp_path, old, new):
         ('"D":2,', '"x":"a\\"\\\\b\\u00e9","D":2,'),  # escapes in a string value
         ("]]}", ']],"x":[{"entries":[]},{"entries":[[1,0],[2,0]]}]}'),
         ('"D":2,', '"\\u0065ntries":{"entries":[[1,0]]},"D":2,'),
+        ('"entries"', '"en\\u0074ries"'),
+        ('"D":2,', '"x":"a:[[1,0]]","D":2,'),  # a member's text inside a string value
+        ('"D":2,', '"x:[[0.5,0.0]]":1,"D":2,'),  # and inside a key
+        ('"D":2,', '"x":"\\":[[1,0]]","D":2,'),  # after an escaped quote
+        ('"D":2,', '"x":[[1,0]],"D":2,'),  # pairs under another key, before "entries"
+        ("]]}", ']],"x":[[1,0],[2,0]]}'),  # and after it
+        ('"D":2,', '"\\u0065ntries":{"\\u0065ntries":[[1,0]]},"D":2,'),
+        ('"entries":', '"entries" :\n'),
     ],
 )
 def test_load_unusual_json_equals_json_route(tmp_path, monkeypatch, old, new):
+    # every valid spelling takes the streamed route, the escaped key included
     path = tmp_path / "odd.json"
     path.write_text(_GOOD.replace(old, new, 1))
     want = _json_route(path)
-    if old != '"entries"':  # an escaped "entries" key is the one spelling json alone reads
-        monkeypatch.setattr(density, "payload_to_matrix", _refuse_json_route)
+    monkeypatch.setattr(density, "payload_to_matrix", _refuse_json_route)
     got = load_matrix(str(path))
     assert got.matrix.tobytes() == want.matrix.tobytes()
     assert got.normalized == want.normalized
+
+
+def test_load_names_a_file_too_large_to_parse_whole(tmp_path, monkeypatch, capsys):
+    # a file that breaks the format is parsed whole to name its defect; when
+    # that runs out of memory, the error names the file, with no traceback
+    path = tmp_path / "bad.json"
+    path.write_text(_GOOD.replace("0.1,-0.2", '0.1,"x"', 1))
+    assert density._ENTRIES.search(path.read_bytes()) is None  # no streamed candidate
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(density.json, "loads", out_of_memory)
+    message = f"{path}: breaks the matrix format and is too large to parse whole"
+    with pytest.raises(MatrixFormatError, match=f"^{re.escape(message)}$"):
+        load_matrix(str(path))
+    assert run_cli(["classify", "--input", str(path)], capsys) == (2, "", f"error: {message}\n")
 
 
 _OUT_OF_RANGE = ["1e400", "-1e400", "1" + "0" * 400, "-1" + "0" * 5000]

@@ -18,7 +18,14 @@ from causal_sep.density import (
 from causal_sep.ec_family import ECClass, ECParams, Mixing, all_variants, build_ec_matrix
 from causal_sep.ppt import PptOutcome, any_npt, ppt_check, ppt_report
 
-from conftest import bell_state, maximally_mixed, run_cli, save_matrix, werner_state
+from conftest import (
+    bell_state,
+    ghz_mixture,
+    maximally_mixed,
+    run_cli,
+    save_matrix,
+    two_qubit_state,
+)
 
 S1 = PartySubset((1,), 2)
 
@@ -70,19 +77,59 @@ def test_conclusive_needs_a_positive_semidefinite_matrix(tmp_path, capsys):
         assert ppt_check(rho, S1).conclusive is False
 
 
-def test_werner_state_flips_at_one_third_on_every_route():
-    # p |Phi+><Phi+| + (1 - p) I/4 on a 1001-point grid: PPT and the
-    # criterion in both modes read entangled from the first point above 1/3 on
+@pytest.mark.parametrize(
+    "D, N, ppt_first, free_first, coupled_first",
+    [
+        (2, 2, 0.334, 0.334, 0.334),  # the Werner state: Peres' 1/3 on every route
+        (2, 3, 0.201, 0.201, 0.201),  # PPT bound 1/5
+        (3, 2, 0.251, None, 0.321),  # the isotropic state: PPT bound 1/(D+1)
+    ],
+)
+def test_ghz_mixture_flips_on_every_route(D, N, ppt_first, free_first, coupled_first):
+    # p |GHZ><GHZ| + (1 - p) I/D^N on a 1001-point grid: each route reads
+    # entangled from its first point on (None: at no point).  Regression
+    # records of the criterion's reach, not targets
     grid = np.linspace(0.0, 1.0, 1001).tolist()
-    first = grid.index(0.334)
-    assert grid[first - 1] < 1 / 3 < grid[first]
-    states = [werner_state(p) for p in grid]
-    want = [k >= first for k in range(len(grid))]
-    assert [ppt_check(rho, S1).verdict is PptOutcome.NPT_ENTANGLED for rho in states] == want
+    states = [ghz_mixture(D, N, p) for p in grid]
+    flips = lambda first: [first is not None and p >= first for p in grid]
+    subset = PartySubset((0,), N)
+    assert [ppt_check(rho, subset).verdict is PptOutcome.NPT_ENTANGLED for rho in states] == (
+        flips(ppt_first)
+    )
+    for mode, first in ((CouplingMode.N_FREE, free_first), (CouplingMode.N_COUPLED, coupled_first)):
+        assert [classify(rho, mode).overall is OverallVerdict.ENTANGLED for rho in states] == (
+            flips(first)
+        )
+    # PPT is conclusive only at 2x2, where the mixture is a state at every point
+    assert all(ppt_check(rho, subset).conclusive for rho in states) == (D == N == 2)
+
+
+def test_two_qubit_census():
+    # 4000 Hilbert-Schmidt random two-qubit states, where PPT is exact: the
+    # criterion, in either mode, reads no PPT state as entangled and finds 794
+    # of the 3004 NPT ones.  A regression record of a seeded sample, not a target
+    rng = np.random.default_rng(12345)
+    states = [two_qubit_state(rng.normal(size=32)) for _ in range(4000)]
+    npt = np.array([ppt_check(rho, S1).verdict is PptOutcome.NPT_ENTANGLED for rho in states])
+    assert npt.sum() == 3004
     for mode in CouplingMode:
-        assert [classify(rho, mode).overall is OverallVerdict.ENTANGLED for rho in states] == want
-    # a state throughout, so PPT is conclusive at every point
-    assert all(ppt_check(rho, S1).conclusive for rho in states)
+        found = np.array([classify(rho, mode).overall is OverallVerdict.ENTANGLED for rho in states])
+        assert found.sum() == 794
+        assert not (found & ~npt).any()
+
+
+def test_criterion_depends_on_the_basis():
+    # both NPT: the Bell state with a Hadamard on party 0 reads separable in
+    # both modes, the maximally entangled qutrit pair in free mode, where its
+    # minimum W is exactly 0.0
+    hadamard = np.kron([[1, 1], [1, -1]], np.eye(2)) / np.sqrt(2)
+    rotated = DensityMatrix(2, 2, hadamard @ bell_state("phi+").matrix @ hadamard.T)
+    for rho, free_min, coupled_min in ((rotated, 0.0, 0.0), (ghz_mixture(3, 2, 1.0), 0.0, -1 / 9)):
+        assert ppt_check(rho, PartySubset((0,), 2)).verdict is PptOutcome.NPT_ENTANGLED
+        free, coupled = classify(rho, CouplingMode.N_FREE), classify(rho, CouplingMode.N_COUPLED)
+        assert free.overall is OverallVerdict.SEPARABLE_BY_CRITERION
+        assert free.W.min() == free_min
+        assert coupled.W.min() == pytest.approx(coupled_min, abs=1e-15)
 
 
 def test_check_reads_rho_with_no_partial_transpose_copy():
