@@ -55,8 +55,10 @@ if TYPE_CHECKING:
 W_TOL = 1e-10
 # The gather runs over chunks of configurations whose temporaries (index,
 # entry, modulus and label arithmetic: at most GATHER_CELL_BYTES per
-# partner x (subset or party) cell) stay under GATHER_BYTES.
-GATHER_BYTES = 64 * 2**20
+# partner x (subset or party) cell) stay under GATHER_BYTES.  At 4 MiB, a
+# quarter of a D^N = 1024 matrix, a D=2, N=10 report takes 4 chunks, and one
+# of D^N <= 256 takes one.
+GATHER_BYTES = 4 * 2**20
 GATHER_CELL_BYTES = 48
 
 

@@ -14,10 +14,12 @@ spelling of that object loads.
 """
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import math
 import re
+import zlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -27,8 +29,9 @@ from .config_calculus import Configuration, check_dims, config_labels, label_wei
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
-# Byte budget of one block of rows of a dense pass (Hermiticity check, EC build)
-ROW_BLOCK_BYTES = 4 * 2**20
+# Byte budget of one block of a dense pass (EC build rows, four Hermiticity scan
+# tiles): at 1 MiB a load's peak over its matrix stays under 1 MiB
+ROW_BLOCK_BYTES = 2**20
 
 
 class MatrixFormatError(RuntimeError):
@@ -149,13 +152,17 @@ class DensityMatrix:
 
 
 def _max_asymmetry(arr: np.ndarray) -> float:
-    """max |M - M^dag| in row blocks, with no dim x dim temporary; inf on overflow."""
-    step = max(1, ROW_BLOCK_BYTES // (16 * len(arr)))
-    # np.max, unlike max(), keeps a NaN from any block
+    """max |M - M^dag| by square tiles of ROW_BLOCK_BYTES // 4, each pair of mirror
+    tiles once (|a - conj(b)| is |b - conj(a)| bit for bit); inf on overflow."""
+    edge = max(1, math.isqrt(ROW_BLOCK_BYTES // 64))
+    starts = range(0, len(arr), edge)
+    # np.max, unlike max(), keeps a NaN from any tile; the conjugate is copied
+    # in C order, as the tile is laid out, so the difference needs no buffer
     with np.errstate(over="ignore", invalid="ignore"):
         return float(np.max([
-            np.max(np.abs(arr[lo : lo + step] - arr[:, lo : lo + step].conj().T))
-            for lo in range(0, len(arr), step)
+            np.max(np.abs(arr[i : i + edge, j : j + edge]
+                          - np.conj(arr[j : j + edge, i : i + edge].T, order="C")))
+            for i in starts for j in starts if i <= j
         ]))
 
 
@@ -275,8 +282,9 @@ _ENTRIES = re.compile(
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
 # json reads the integer token -0 as +0.0, numpy's parser as -0.0
 _INTEGER_MINUS_ZERO = re.compile(rb"-0(?=[ \t\n\r,\]])")
-# Bytes of entries text per slice of the parser (about; a slice ends with a pair)
-PARSE_SLICE_BYTES = 2**20
+# Bytes of entries text per read of the parser: a slice's few copies stay
+# under ROW_BLOCK_BYTES, and a 10.5 MB D^N = 1024 file takes 41 reads
+PARSE_SLICE_BYTES = 2**18
 # Floats per chunk of the writer (even: whole pairs)
 WRITE_CHUNK = 2**16
 
@@ -353,15 +361,17 @@ def load_matrix(path: str) -> DensityMatrix:
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    split = _split_entries(data)
-    if split is not None:
-        header, start, end = split
-        D, N, normalized = _header(header, path)
-        dim = D**N
-        _check_count(data.count(b"[", start, end) - 1, dim, path)
-        pairs = _parse_pairs(data, start, end, 2 * dim * dim, path)
-        del data  # the invariant checks run without the file's bytes
-        return _from_pairs(pairs, D, N, normalized, path)
+        split = _split_entries(data)
+        if split is not None:
+            header, start, end = split
+            D, N, normalized = _header(header, path)
+            dim = D**N
+            _check_count(data.count(b"[", start, end) - 1, dim, path)
+            crc = zlib.crc32(memoryview(data)[start + 1 : end])
+            source = fh if fh.seekable() else io.BytesIO(data)
+            del data  # the entries are read again, a slice at a time; a pipe's from its bytes
+            pairs = _parse_pairs(source, start + 1, end, 2 * dim * dim, crc, path)
+            return _from_pairs(pairs, D, N, normalized, path)
     return payload_to_matrix(_loads(data, path), origin=path)
 
 
@@ -411,26 +421,42 @@ def _read_marked(data: bytes, spans: list[tuple[int, int]], marks: Iterable[int]
         return None
 
 
-def _parse_pairs(data: bytes, start: int, end: int, size: int, origin: str) -> np.ndarray:
-    """The ``size`` numbers of the matched entries text ``data[start:end]`` as
-    one float64 array, read as json reads them, in slices of about
-    ``PARSE_SLICE_BYTES``, each cut at the comma after a pair's closing
-    bracket, so no copy of the whole text is made.  Each slice's integer
+def _parse_pairs(source, lo: int, end: int, size: int, crc: int, origin: str) -> np.ndarray:
+    """The ``size`` numbers of the entries text, bytes ``lo`` (after the
+    array's "[") to ``end`` of the binary file ``source``, as one float64
+    array, read as json reads them, ``PARSE_SLICE_BYTES`` at a time, each
+    slice cut at the comma after its last whole pair.  Each slice's integer
     tokens -0 become 0 before numpy reads it, and its ``_ZERO_RUN`` matches are
     cut out, their pairs left zero.  A number beyond the float range reads as
-    inf; json reads the first such pair alone, so the error is json's."""
+    inf; json reads the first such pair alone, so the error is json's.  A
+    short read, a slice that is not its pairs or a CRC-32 other than ``crc``
+    means the file changed after it was checked."""
+    changed = MatrixFormatError(f"{origin}: changed while it was read")
     pairs = np.zeros(size).reshape(-1, 2)
-    filled, lo = 0, start + 1  # a count of pairs, and the first byte after the array's "["
-    while lo < end:
-        close = data.find(b"]", lo + PARSE_SLICE_BYTES, end)
-        cut = data.find(b",", close, end) if close >= 0 else -1
-        hi = end if cut < 0 else cut
-        pieces = _ZERO_RUN.split(data[lo:hi])  # the text between runs, and the runs
+    filled, left, rest, check = 0, end - lo, b"", 0  # pairs filled, bytes unread, read, CRC
+    source.seek(lo)
+    while left:
+        more = source.read(min(left, PARSE_SLICE_BYTES))
+        if not more:
+            raise changed
+        check, left, rest = zlib.crc32(more, check), left - len(more), rest + more
+        del more  # as pieces below: no slice's bytes are held into the next read
+        head = rest.rfind(b"[") if left else len(rest)  # the last pair may be cut short
+        cut = rest.rfind(b",", 0, max(head, 0)) if left else head
+        if cut < 0:
+            continue
+        pieces, rest = _ZERO_RUN.split(rest[:cut]), rest[head:]  # texts between runs, and runs
         runs = [run.count(b"[") for run in pieces[1::2]]
+        gaps = [gap.count(b"[") for gap in pieces[::2]]  # the pairs before each run, and after
         text = _INTEGER_MINUS_ZERO.sub(b"0", b"".join(pieces[::2]))
-        part = np.fromstring(text.translate(_BRACKETS_TO_SPACES), sep=",").reshape(-1, 2)
-        gaps = [gap.count(b"[") for gap in pieces[:-1:2]]  # pairs before each run
-        at = np.arange(len(part)) + np.repeat(np.cumsum([0, *runs]), gaps + [len(part) - sum(gaps)])
+        del pieces
+        try:
+            part = np.fromstring(text.translate(_BRACKETS_TO_SPACES), sep=",").reshape(-1, 2)
+        except ValueError:  # not numbers between commas, or an odd count of them
+            raise changed from None
+        if len(part) != sum(gaps) or filled + len(part) + sum(runs) > len(pairs):
+            raise changed
+        at = np.arange(len(part)) + np.repeat(np.cumsum([0, *runs]), gaps)
         if not np.isfinite(part).all():
             j = int(np.argmin(np.isfinite(part).all(axis=1)))  # the slice's first pair with an inf
             found = next(itertools.islice(re.finditer(_PAIR, text), j, None))
@@ -438,7 +464,8 @@ def _parse_pairs(data: bytes, start: int, end: int, size: int, origin: str) -> n
             raise MatrixFormatError(f"{origin}: entry {filled + at[j]} is not finite: {pair!r}")
         pairs[filled + at] = part
         filled += len(part) + sum(runs)
-        lo = hi + 1
+    if check != crc:
+        raise changed
     return pairs.reshape(-1)
 
 

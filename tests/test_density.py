@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import threading
 import time
 import tracemalloc
 import warnings
@@ -1039,4 +1041,109 @@ def test_load_memory_bound_at_1024(tmp_path, monkeypatch):
         finally:
             tracemalloc.stop()
         assert loaded.matrix.tobytes() == want
-        assert peak < 64 * 2**20, f"load of {new!r} peaked at {peak / 2**20:.1f} MiB"
+        # the file's bytes are dropped before the matrix is allocated, and
+        # the entries are read again a slice at a time
+        bound = len(want) + 4 * density.PARSE_SLICE_BYTES
+        assert peak < bound, f"load of {new!r} peaked at {peak / 2**20:.2f} MiB"
+
+
+def _ec_file(tmp_path):
+    rho = build_ec_matrix(ECParams(ECClass.A, Mixing.STRONG, CouplingMode.N_FREE, 2, 3, 0.3 + 0.4j))
+    path = tmp_path / "ec.json"
+    save_matrix(rho, str(path))
+    return rho, path
+
+
+@pytest.mark.parametrize("slice_bytes", [7, density.PARSE_SLICE_BYTES])
+@pytest.mark.parametrize("change", ["digit", "truncate"])
+def test_load_refuses_a_file_changed_while_it_is_read(tmp_path, monkeypatch, capsys, change,
+                                                      slice_bytes):
+    # the entries are checked on the file's bytes, which are then dropped and
+    # the entries read again: a file rewritten in between is refused, whether
+    # the change keeps its length (a CRC-32 mismatch) or not (a short read)
+    monkeypatch.setattr(density, "PARSE_SLICE_BYTES", slice_bytes)
+    _, path = _ec_file(tmp_path)
+    text = path.read_text()
+    last = text.rindex("0.0]")  # a digit of the last entry
+    changed = text[:last] + "0.1]" + text[last + 4 :] if change == "digit" else text[:-40]
+    split_entries = density._split_entries
+
+    def rewrite(data):
+        path.write_text(changed)
+        return split_entries(data)
+
+    monkeypatch.setattr(density, "_split_entries", rewrite)
+    message = f"{path}: changed while it was read"
+    with pytest.raises(MatrixFormatError, match=f"^{re.escape(message)}$"):
+        load_matrix(str(path))
+    path.write_text(text)
+    assert run_cli(["classify", "--input", str(path)], capsys) == (2, "", f"error: {message}\n")
+
+
+def test_load_refuses_a_slice_that_no_longer_parses(tmp_path, monkeypatch):
+    # a rewrite of the same length whose text is no longer pairs of numbers
+    # is refused at the slice, before its CRC-32 is known
+    monkeypatch.setattr(density, "PARSE_SLICE_BYTES", 7)
+    _, path = _ec_file(tmp_path)
+    text = path.read_text()
+    split_entries = density._split_entries
+    for old, new in [("[0.0,0.0]", "[0.0 0.0]"), ("[0.0,0.0]", " 0.0,0.0]"), ("0.0", "x.0")]:
+        at = text.index(old, len(text) // 2)
+
+        def rewrite(data, changed=text[:at] + new + text[at + len(old) :]):
+            path.write_text(changed)
+            return split_entries(data)
+
+        monkeypatch.setattr(density, "_split_entries", rewrite)
+        with pytest.raises(MatrixFormatError, match="changed while it was read"):
+            load_matrix(str(path))
+        path.write_text(text)
+
+
+def test_load_from_a_named_pipe(tmp_path):
+    # a pipe cannot be read twice: its bytes, read once, are parsed in place
+    rho, path = _ec_file(tmp_path)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()))
+    writer.start()
+    try:
+        loaded = load_matrix(str(fifo))
+    finally:
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    assert loaded.matrix.tobytes() == load_matrix(str(path)).matrix.tobytes()
+    assert loaded.matrix.tobytes() == rho.matrix.tobytes()
+
+
+def _dense_asymmetry(arr):
+    """The oracle of ``density._max_asymmetry``: the whole difference at once."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(arr - arr.conj().T)))
+
+
+@pytest.mark.parametrize("dim", [1, 243, 1024])
+def test_hermiticity_scan_equals_the_dense_difference(dim):
+    rng = np.random.default_rng(dim)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    arr = g + g.conj().T + 1e-13 * rng.normal(size=(dim, dim))
+    assert density._max_asymmetry(arr) == _dense_asymmetry(arr)
+    assert density._max_asymmetry(arr + arr.conj().T) == 0.0
+
+
+@pytest.mark.parametrize("row, col", [(0, 1023), (1023, 0), (500, 501), (7, 7)],
+                         ids=["upper-tile", "lower-tile", "diagonal-tile", "diagonal"])
+def test_hermiticity_scan_finds_a_violation_in_any_tile(row, col):
+    # tiles of at least 2 and at most 500 rows put (0, 1023) above the
+    # diagonal tiles, (1023, 0) below them, and (500, 501) in one
+    arr = np.eye(1024, dtype=complex) / 1024
+    arr[row, col] += 3e-12 - 2e-12j
+    asym = _dense_asymmetry(arr)
+    assert density._max_asymmetry(arr) == asym > density.HERMITICITY_TOL
+    message = f"hermiticity invariant violated: max |M - M^dag| = {asym:.3e}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DensityMatrix(2, 10, arr)
+    arr[row, col] = float("nan")
+    assert np.isnan(density._max_asymmetry(arr))
+    with pytest.raises(ValueError, match="^matrix entries must be finite$"):
+        DensityMatrix(2, 10, arr, normalized=False)
