@@ -1,12 +1,13 @@
 """Command-line interface: ``causal-sep <command> [flags]``.
 
 Machine payloads (JSON with a "schema" tag, or CSV with a fixed header,
-streamed a batch of rows at a time) go to stdout or --out; human
-diagnostics go to stderr.  Output is deterministic for identical inputs,
-with floats printed as shortest round-trip decimals.  Exit codes: 0
-success, 1 domain error, 2 I/O or parse error (argparse usage errors
-also exit 2).  A stdout closed by its reader (``causal-sep ... | head``)
-ends the run with exit 2 and nothing on stderr.
+streamed a batch of rows at a time, one string per batch) go to stdout or
+--out; human diagnostics go to stderr.  Output is deterministic for
+identical inputs, with floats printed as shortest round-trip decimals.
+Exit codes: 0 success, 1 domain error, 2 I/O or parse error or out of
+memory, each with one ``error:`` line (argparse usage errors also exit 2).
+A stdout closed by its reader (``causal-sep ... | head``) ends the run
+with exit 2 and nothing on stderr.
 """
 from __future__ import annotations
 
@@ -89,14 +90,11 @@ def _json_payload(payload: dict, report: CriterionReport | None = None) -> Itera
         return [json.dumps(payload, separators=(",", ":")) + "\n"]
     head = {**payload, "mode": report.mode.value, "overall": report.overall.value}
     head_text = f'{json.dumps(head, separators=(",", ":"))[:-1]},"scores":['
-    return chain([head_text], _json_scores(report), ["]}\n"])
-
-
-def _json_scores(report: CriterionReport) -> Iterator[str]:
-    for k, cells in enumerate(_score_batches(report, ",", _JSON_SCORE_FIELDS, json.dumps)):
-        if k:
-            yield ","
-        yield ",".join(map("".join, cells))
+    batches = _score_batches(report, ",", _JSON_SCORE_FIELDS, json.dumps)
+    # every score object starts with its separator; the first one's is dropped,
+    # lazily, so that no batch is formed while classify's matrix is alive
+    first = (text[1:] for text in islice(batches, 1))
+    return chain([head_text], first, batches, ["]}\n"])
 
 
 def _cell(x) -> str:
@@ -114,38 +112,37 @@ def _csv_payload(
     header: list[str], rows: Iterable[list], report: CriterionReport | None = None
 ) -> Iterator[str]:
     """CSV text: the header and the rows, ``SCORE_BATCH`` rows a piece, then
-    one line per score of ``report``, a batch at a time, each joined from its
-    pieces with no string per line."""
+    one line per score of ``report``, one string per batch."""
     rows = chain([header], rows)
     while batch := list(islice(rows, SCORE_BATCH)):
         yield "".join(",".join(map(_cell, row)) + "\n" for row in batch)
     if report is not None:
-        batches = _score_batches(report, ";", _CSV_SCORE_FIELDS)
-        yield from map("".join, map(chain.from_iterable, batches))
+        yield from _score_batches(report, ";", _CSV_SCORE_FIELDS)
 
 
 # Text around the six cells of a score (config, subset, P_ignorance,
-# P_transition, W, verdict): before each cell, then after the last.
+# P_transition, W, verdict): before each cell, then after the last.  A JSON
+# score object opens with the comma that separates it from the one before.
 _JSON_SCORE_FIELDS = (
-    '{"config":[', '],"subset":[', '],"P_ignorance":', ',"P_transition":', ',"W":',
+    ',{"config":[', '],"subset":[', '],"P_ignorance":', ',"P_transition":', ',"W":',
     ',"verdict":"', '"}',
 )
 _CSV_SCORE_FIELDS = ("", ",", ",", ",", ",", ",", "\n")
 
 
 def _score_batches(report: CriterionReport, sep: str, fields: tuple[str, ...], nonfinite=repr):
-    """The scores of ``report`` in report order, one iterator of line pieces
-    per batch of ``SCORE_BATCH`` configurations: the six cells of a score
-    between ``fields``, labels joined by ``sep``, floats by ``float_texts``.
-    Each batch converts its own rows at once, formats each distinct float of
-    a column once and zips the columns; no Python code runs per score."""
+    """The score text of ``report`` in report order, one string per batch of
+    ``SCORE_BATCH`` configurations: the six cells of a score between
+    ``fields``, labels joined by ``sep``, floats by ``float_texts``.  Each
+    batch converts its rows at once, formats each distinct float of a column
+    once and joins the zipped columns once; no Python code runs per score."""
     subsets = [sep.join(map(str, s.members)) + fields[2] for s in report.subsets]
     verdicts = [fields[5] + v.value + fields[6] for v in ScoreVerdict]  # by the entangled flag
     per_config = lambda cells: chain.from_iterable(map(repeat, cells, repeat(len(subsets))))
     for lo in range(0, len(report.configs), SCORE_BATCH):
         rows = slice(lo, lo + SCORE_BATCH)
         configs = report.configs[rows].tolist()
-        yield zip(
+        yield "".join(chain.from_iterable(zip(
             per_config(fields[0] + sep.join(map(str, c)) + fields[1] for c in configs),
             cycle(subsets),
             per_config(x + fields[3] for x in float_texts(report.P_ignorance[rows], nonfinite)),
@@ -153,7 +150,7 @@ def _score_batches(report: CriterionReport, sep: str, fields: tuple[str, ...], n
             repeat(fields[4]),
             float_texts(report.W[rows].ravel(), nonfinite),
             map(verdicts.__getitem__, report.entangled[rows].ravel().tolist()),
-        )
+        )))
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +503,9 @@ def main(argv: list[str] | None = None) -> int:
                 return 2
     except (MatrixFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's names the allocation that failed
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

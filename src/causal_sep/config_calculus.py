@@ -45,6 +45,12 @@ class CouplingMode(Enum):
 # the layout and orthogonality
 # ---------------------------------------------------------------------------
 
+def is_integer(x) -> bool:
+    """The one test of a label, party index or site flag: an integer, Python
+    or numpy, that is not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def label_weights(D: int, N: int) -> np.ndarray:
     """The D**(N-1-n): ``labels @ label_weights(D, N)`` indexes a label array."""
     return D ** np.arange(N - 1, -1, -1)
@@ -67,7 +73,7 @@ def orthogonal_partners(
     N = len(c)
     check_dims(D, N)
     for label in c:
-        if not 0 <= label < D:
+        if not (is_integer(label) and 0 <= label < D):
             raise ValueError(f"label {label} out of range for D={D}")
     return [tuple(p) for p in partner_labels(np.array([c]), D, mode)[:, 0].tolist()]
 
@@ -172,7 +178,9 @@ def check_dims(
     """Reject a D or N (None: not checked) that is not an int, bools
     included, or is below its minimum; with ``capped``, also a D^N above
     DIM_CAP.  Far above the cap (N log2 D > 64) D**N is never formed.  D = 1
-    is capped as D = 2, since its 2^N party subsets are still enumerated."""
+    is capped as D = 2, since its 2^N party subsets are still enumerated.
+    Unlike ``is_integer``, a numpy integer is refused too: its D**N would
+    wrap past int64 before the cap check."""
     for name, value, minimum in (("D", D, D_min), ("N", N, N_min)):
         if value is not None and (
             not isinstance(value, int) or isinstance(value, bool) or value < minimum

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .config_calculus import Configuration, check_dims, config_labels, label_weights
+from .config_calculus import Configuration, check_dims, config_labels, is_integer, label_weights
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -51,7 +51,9 @@ class PartySubset:
 
     def __post_init__(self) -> None:
         check_dims(None, self.N, N_min=2)
-        members = tuple(sorted(set(int(i) for i in self.members)))
+        if not all(map(is_integer, self.members)):
+            raise ValueError(f"party indices must be integers, got {self.members!r}")
+        members = tuple(sorted(set(map(int, self.members))))
         if len(members) != len(tuple(self.members)):
             raise ValueError(f"duplicate parties in subset {self.members!r}")
         if not members:
@@ -169,7 +171,7 @@ def _max_asymmetry(arr: np.ndarray) -> float:
 def config_to_index(c: Configuration, D: int) -> int:
     idx = 0
     for label in c:
-        if not isinstance(label, int) or not 0 <= label < D:
+        if not (is_integer(label) and 0 <= label < D):
             raise ValueError(f"label {label!r} out of range for D={D}")
         idx = idx * D + label
     return idx

@@ -71,7 +71,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from . import density
-from .config_calculus import ENUMERATION_CAP, CouplingMode, check_dims, config_labels, label_weights
+from .config_calculus import ENUMERATION_CAP, CouplingMode, check_dims, is_integer, label_weights
 from .density import TRACE_TOL, DensityMatrix
 
 
@@ -113,15 +113,14 @@ class ECParams:
                 raise ValueError("b-class mixing parameter must be real")
             if not 0.0 <= p.real <= 1.0:
                 raise ValueError(f"b-class mixing parameter must lie in [0, 1], got {p.real}")
-            sites = self.b_sites if self.b_sites is not None else (1,) * self.N
-            sites = tuple(int(s) for s in sites)
+            sites = tuple(self.b_sites if self.b_sites is not None else (1,) * self.N)
             if len(sites) != self.N:
                 raise ValueError(
                     f"b_sites must have length N={self.N}, got {len(sites)}"
                 )
-            if any(s not in (0, 1) for s in sites):
+            if not all(is_integer(s) and s in (0, 1) for s in sites):
                 raise ValueError(f"b_sites entries must be 0 or 1, got {sites!r}")
-            object.__setattr__(self, "b_sites", sites)
+            object.__setattr__(self, "b_sites", tuple(map(int, sites)))
         object.__setattr__(self, "p", p)
 
     @property
@@ -233,24 +232,25 @@ def build_ec_matrix(params: ECParams) -> DensityMatrix:
     if not (np.isfinite(op.diag_sites).all() and np.isfinite(op.off_sites).all()):
         raise ValueError("matrix entries must be finite")
     D, N, dim = op.D, op.N, op.dim
-    # a block is the rows whose first ``fixed`` site labels agree
+    # a block is the rows whose first ``fixed`` site labels agree, within
+    # ROW_BLOCK_BYTES where it can be: fixed stops at N - 1, so that the
+    # leading sites' product is never a second whole matrix
     fixed = 0
-    while fixed < N and 16 * dim * D ** (N - fixed) > density.ROW_BLOCK_BYTES:
+    while fixed < N - 1 and 16 * dim * D ** (N - fixed) > density.ROW_BLOCK_BYTES:
         fixed += 1
     matrix = np.empty((dim, dim), dtype=np.complex128)
     blocks = matrix.reshape(D**fixed, -1, dim)
-    for block, labels in zip(blocks, config_labels(D, fixed).tolist()):
-        block[...] = _kron_rows(op.diag_sites, labels)
-        block += _kron_rows(op.off_sites, labels)
+    stacks = (op.diag_sites, op.off_sites)
+    # the leading sites' product, formed once: its row b, times the other
+    # sites from the left, is block b, the same products in the same order
+    if fixed:
+        heads = [reduce(np.kron, sites[:fixed]) for sites in stacks]
+    for b, block in enumerate(blocks):
+        chains = [[h[b : b + 1], *s[fixed:]] for h, s in zip(heads, stacks)] if fixed else stacks
+        block[...] = reduce(np.kron, chains[0])
+        block += reduce(np.kron, chains[1])
     trace = float(np.trace(matrix).real)
     return DensityMatrix._adopt(D, N, matrix, abs(trace - 1.0) <= TRACE_TOL, hermitian=True)
-
-
-def _kron_rows(sites: np.ndarray, labels: list[int]) -> np.ndarray:
-    """The rows of ``reduce(np.kron, sites)`` whose leading site labels are
-    ``labels``, formed by ``np.kron`` from the same factors."""
-    rows = [site[i : i + 1] for site, i in zip(sites, labels)]
-    return reduce(np.kron, rows + list(sites[len(labels) :]))
 
 
 def ec_min_eigenvalue(params: ECParams) -> float:

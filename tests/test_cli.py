@@ -744,6 +744,21 @@ def test_classify_formatting_memory_bound(tmp_path, capsys, monkeypatch, fmt):
         assert peak < target.stat().st_size / 2, f"formatting peaked at {peak / 2**20:.2f} MiB"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_classify_formats_no_score_before_it_returns(tmp_path, monkeypatch, fmt):
+    # the matrix is freed when the command returns; a score batch formed
+    # before that would hold its text beside the matrix
+    calls = []
+    monkeypatch.setattr(cli, "float_texts", lambda *a: calls.append(1) or density.float_texts(*a))
+    matrix_file = str(tmp_path / "state.json")
+    save_matrix(random_state(2, 3, np.random.default_rng(3)), matrix_file)
+    args = cli.build_parser().parse_args(["classify", "--input", matrix_file, "--format", fmt])
+    pieces = args.func(args)
+    assert calls == []
+    assert "".join(pieces).count("\n") == (1 if fmt == "json" else 13)
+    assert calls
+
+
 def test_classify_error_leaves_out_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"D":2,"N":1,"normalized":true,"entries":[[0.5,0],[0,0],[0,0],[0.6,0]]}')
@@ -754,6 +769,21 @@ def test_classify_error_leaves_out_file(tmp_path, capsys):
     assert err.startswith(f"error: {bad}: trace invariant violated")
     assert target.read_text() == "kept"
 
+
+@pytest.mark.parametrize("command", ["classify", "ppt"])
+@pytest.mark.parametrize("detail", ["", "Unable to allocate 256. MiB for an array"])
+def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, command, detail):
+    def load_matrix(path):
+        raise MemoryError(detail) if detail else MemoryError()
+
+    monkeypatch.setattr(cli, "load_matrix", load_matrix)
+    target = tmp_path / "out.json"
+    target.write_text("kept")
+    argv = [command, "--input", str(tmp_path / "m.json"), "--out", str(target)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == (f"error: out of memory: {detail}\n" if detail else "error: out of memory\n")
+    assert target.read_text() == "kept"
 
 def test_ppt_subset_flag(tmp_path, capsys):
     matrix_file = str(tmp_path / "bell.json")

@@ -207,3 +207,13 @@ def test_count_rejects_counts_beyond_the_integer_string_limit():
             f"the counts for D^N = {D}^{N} have more than {limit} decimal digits"
         )):
             count_configurations(D, N, COUPLED)
+
+
+@pytest.mark.parametrize("bad", [(0.5, 1), (0, 1.0), (True, 1), ("1", 0), (np.float64(0), 1)])
+def test_orthogonal_partners_take_integer_labels_only(bad):
+    # a numpy integer, as read from a label array, is a label; a float, a
+    # bool or a string is not one, and used to be cut or compared silently
+    labels = (np.int64(0), np.int64(1))
+    assert orthogonal_partners(labels, 2, FREE) == orthogonal_partners((0, 1), 2, FREE)
+    with pytest.raises(ValueError, match="out of range for D=2"):
+        orthogonal_partners(bad, 2, FREE)

@@ -188,6 +188,18 @@ def test_bad_labels_rejected_before_the_gather(label):
         causal_W(maximally_mixed(2, 2), (0, label), S0, FREE)
 
 
+@pytest.mark.parametrize("mode", [FREE, COUPLED])
+def test_causal_w_takes_a_configuration_of_the_report(mode):
+    # report.configs holds numpy integers; a row of it is a configuration
+    rho = random_state(3, 3, np.random.default_rng(7))
+    report = classify(rho, mode)
+    for k in (0, 1, len(report.configs) - 1):
+        j = report.configs[k]
+        row = causal_W(rho, j, report.subsets[1], mode)
+        assert row == causal_W(rho, tuple(j.tolist()), report.subsets[1], mode)
+        assert row.W == report.W[k, 1]
+
+
 @pytest.mark.parametrize(
     "j, subset, message",
     [

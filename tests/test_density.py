@@ -113,6 +113,16 @@ def test_party_subset_validation():
         PartySubset((0, 0), 3)
 
 
+@pytest.mark.parametrize("bad", [(0.9,), ("1",), (True,), (0, 1.0), (np.float64(1),)])
+def test_party_subset_takes_integer_indices_only(bad):
+    # the indices of a numpy array are party indices, stored as Python ints;
+    # 0.9 and "1" used to become (0,) and (1,)
+    s = PartySubset(tuple(np.array([2, 0])), 4)
+    assert s.members == (0, 2) and all(type(i) is int for i in s.members)
+    with pytest.raises(ValueError, match="party indices must be integers"):
+        PartySubset(bad, 3)
+
+
 def test_canonical_subsets():
     assert [s.members for s in canonical_subsets(2)] == [(0,)]
     assert [s.members for s in canonical_subsets(3)] == [(0,), (0, 1), (0, 2)]

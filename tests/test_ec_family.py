@@ -71,6 +71,15 @@ def test_params_validation():
         params(ec_class=A, b_sites=(1, 1))
 
 
+@pytest.mark.parametrize("bad", [(0.5, 1), (1, 1.0), (True, 1), ("1", 0), (np.float64(1), 0)])
+def test_params_b_sites_take_integers_only(bad):
+    # numpy integers are site flags, stored as Python ints; (0.5, 1) used to become (0, 1)
+    prm = params(ec_class=B, b_sites=tuple(np.array([1, 0])))
+    assert prm.b_sites == (1, 0) and all(type(s) is int for s in prm.b_sites)
+    with pytest.raises(ValueError, match="b_sites entries must be 0 or 1"):
+        params(ec_class=B, b_sites=bad)
+
+
 def test_params_b_defaults():
     prm = params(ec_class=B, p=0.3)
     assert prm.b_sites == (1, 1)
