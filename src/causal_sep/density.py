@@ -239,7 +239,7 @@ def hermitian_eigenvalues(rho: DensityMatrix, subset: PartySubset | None = None)
     digits = config_labels(D, N)  # each index's labels
     in_subset = np.isin(np.arange(N), () if subset is None else subset.members)[:, None]
     spectra = []
-    for size in np.unique(sizes):
+    for size in np.flatnonzero(np.bincount(sizes)):  # ascending; np.unique imports numpy.ma
         block = digits[order[starts[sizes == size, None] + np.arange(size)]]  # (blocks, size, N)
         index = pt_flat(block[:, :, None], block[:, None, :], D, in_subset)[..., 0]
         spectra.append(np.linalg.eigvalsh(rho.entries(index)))
@@ -360,6 +360,7 @@ def load_matrix(path: str) -> DensityMatrix:
     runs of [0.0,0.0] pairs, in json's words on error.  Only a file that
     breaks the format goes through ``json.loads`` and ``payload_to_matrix``,
     which name its defect.  Of a file with two defects, the routes may differ.
+    A ``MemoryError`` while the entries are read names the path first.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -372,8 +373,11 @@ def load_matrix(path: str) -> DensityMatrix:
             crc = zlib.crc32(memoryview(data)[start + 1 : end])
             source = fh if fh.seekable() else io.BytesIO(data)
             del data  # the entries are read again, a slice at a time; a pipe's from its bytes
-            pairs = _parse_pairs(source, start + 1, end, 2 * dim * dim, crc, path)
-            return _from_pairs(pairs, D, N, normalized, path)
+            try:
+                pairs = _parse_pairs(source, start + 1, end, 2 * dim * dim, crc, path)
+                return _from_pairs(pairs, D, N, normalized, path)
+            except MemoryError as exc:  # numpy's names the allocation, this the file
+                raise MemoryError(f"{path}: {exc}" if str(exc) else path) from None
     return payload_to_matrix(_loads(data, path), origin=path)
 
 

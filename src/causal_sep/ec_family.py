@@ -233,10 +233,12 @@ def build_ec_matrix(params: ECParams) -> DensityMatrix:
         raise ValueError("matrix entries must be finite")
     D, N, dim = op.D, op.N, op.dim
     # a block is the rows whose first ``fixed`` site labels agree, within
-    # ROW_BLOCK_BYTES where it can be: fixed stops at N - 1, so that the
-    # leading sites' product is never a second whole matrix
-    fixed = 0
-    while fixed < N - 1 and 16 * dim * D ** (N - fixed) > density.ROW_BLOCK_BYTES:
+    # ROW_BLOCK_BYTES where it can be: fixed stops at N - 1, and before the
+    # leading sites' product (16 D^(2 fixed) bytes) outgrows a block, so
+    # that it is never a second whole matrix nor a large share of one
+    fixed, budget = 0, density.ROW_BLOCK_BYTES
+    while (fixed < N - 1 and 16 * dim * D ** (N - fixed) > budget
+           and 16 * D ** (2 * fixed + 2) <= budget):
         fixed += 1
     matrix = np.empty((dim, dim), dtype=np.complex128)
     blocks = matrix.reshape(D**fixed, -1, dim)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -785,6 +786,22 @@ def test_out_of_memory_is_one_error_line(tmp_path, capsys, monkeypatch, command,
     assert err == (f"error: out of memory: {detail}\n" if detail else "error: out of memory\n")
     assert target.read_text() == "kept"
 
+
+@pytest.mark.parametrize("command", ["classify", "ppt"])
+def test_out_of_memory_in_a_load_names_the_file(tmp_path, capsys, monkeypatch, command):
+    detail = "Unable to allocate 256. MiB for an array with shape (33554432,)"
+
+    def parse_pairs(*args):
+        raise MemoryError(detail)
+
+    matrix_file = str(tmp_path / "bell.json")
+    save_matrix(bell_state("psi+"), matrix_file)
+    monkeypatch.setattr(density, "_parse_pairs", parse_pairs)
+    code, out, err = run_cli([command, "--input", matrix_file], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: out of memory: {matrix_file}: {detail}\n"
+
+
 def test_ppt_subset_flag(tmp_path, capsys):
     matrix_file = str(tmp_path / "bell.json")
     save_matrix(bell_state("psi+"), matrix_file)
@@ -1181,6 +1198,34 @@ def test_exit_usage_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["crossover", "--D", "3"], 0),
+        (["crossover", "--D", "2"], 1),  # a domain error
+        (["crossover", "--D", "x"], 2),  # a usage error, which argparse exits with
+    ],
+)
+def test_run_exits_with_mains_code(capsys, monkeypatch, argv, code):
+    # run, the process entry, freezes the heap it starts with; main, which
+    # tests and tracers call in-process, freezes nothing
+    frozen = gc.get_freeze_count()
+    try:
+        want = (cli.main(argv), *capsys.readouterr())
+    except SystemExit as exc:
+        want = (exc.code, *capsys.readouterr())
+    assert want[0] == code
+    assert gc.get_freeze_count() == frozen
+    monkeypatch.setattr(sys, "argv", ["causal-sep", *argv])
+    try:
+        with pytest.raises(SystemExit) as exited:
+            cli.run()
+        assert gc.get_freeze_count() > frozen
+    finally:
+        gc.unfreeze()
+    assert (exited.value.code, *capsys.readouterr()) == want
+
+
+@pytest.mark.parametrize(
     "argv, err",
     [
         (["ec", "threshold", "--class", "a", "--D", "3", "--N", "3"],
@@ -1284,6 +1329,29 @@ def test_a_closed_stdout_ends_the_run_quietly(tmp_path, fmt):
     assert proc.wait(timeout=120) == 2
     assert err == b""
     assert head.startswith(b'{"schema":' if fmt == "json" else b"config,subset,")
+
+
+@pytest.mark.parametrize("command", ["classify", "ppt", "compare", "ec sweep", "ec build"])
+def test_commands_leave_numpy_ma_unimported(tmp_path, command):
+    # numpy.ma is not needed, and importing it costs each process; numpy's
+    # np.unique with no return flags imports it
+    matrix_file = str(tmp_path / "ec.json")
+    params = ECParams(ECClass.A, Mixing.STRONG, CouplingMode.N_FREE, D=2, N=3, p=0.3)
+    save_matrix(build_ec_matrix(params), matrix_file)
+    variant = ["--class", "a", "--mixing", "strong", "--coupling", "free", "--D", "2", "--N", "3"]
+    argv = {
+        "classify": ["classify", "--input", matrix_file],
+        "ppt": ["ppt", "--input", matrix_file],
+        "compare": ["compare", *variant, "--steps", "3"],
+        "ec sweep": ["ec", "sweep", *variant, "--steps", "3"],
+        "ec build": ["ec", "build", *variant, "--p", "0.3"],
+    }[command] + ["--out", str(tmp_path / "out")]
+    script = ("import sys; from causal_sep import cli; "
+              f"print(cli.main({argv!r}), 'numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "0 False\n"), proc.stderr
 
 
 def _csv_commands(tmp_path, capsys):

@@ -781,6 +781,22 @@ def test_build_memory_bound_at_2048():
     assert peak < 1.3 * rho.matrix.nbytes, f"build peaked at {peak / 2**20:.1f} MiB"
 
 
+@pytest.mark.parametrize("D, N", [(5, 5), (7, 4), (8, 4)])
+def test_build_leading_sites_product_within_a_block(D, N):
+    # the leading sites' product stays within a block's budget: at fixed =
+    # N - 1 it would be 6 MiB at (5,5), 1.8 MiB at (7,4) and 4 MiB at (8,4)
+    # per factor stack, a peak 1.03-1.08x the matrix
+    prm = params(mixing=STRONG, D=D, N=N, p=0.3 + 0.4j)
+    build_ec_matrix(params(D=2, N=2))  # one-time setup stays out of the peak
+    tracemalloc.start()
+    try:
+        rho = build_ec_matrix(prm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.03 * rho.matrix.nbytes, f"build peaked at {peak / rho.matrix.nbytes:.4f}x"
+
+
 # ---------------------------------------------------------------------------
 # class b: rho / trace does not depend on p
 # ---------------------------------------------------------------------------
