@@ -14,9 +14,16 @@ compares two probability-like quantities:
                    cut.
 
 Their difference W = P_ignorance - P_transition is invariant under
-S -> complement(S).  W < -W_TOL for any distinct configuration and any
-bipartition certifies entanglement; W >= -W_TOL everywhere is *consistent*
-with separability (one-sided, like the partial-transpose test).
+S -> complement(S).  In free mode, W(j, S) < 0 implies that rho^T_S is not
+positive semidefinite: a partial transpose keeps the diagonal, so each 2x2
+minor of a PSD rho^T_S gives |<j| rho^T_S |l>|^2 <= rho_jj rho_ll, and the
+cyclic shifts are completely orthogonal partners, so the sum over them gives
+P_transition <= P_ignorance.  There a negative W certifies entanglement
+across S, and W >= -W_TOL everywhere is *consistent* with separability
+(one-sided, like the partial-transpose test).  In coupled mode at D >= 3 a
+negative W certifies nothing: the product state |+>|+> on two qutrits has
+W = -2/81.  At D = 2 the one shift is the one completely orthogonal partner,
+and the two modes are one test.
 
 The coupling mode selects which partner family plays which role: the free
 ensemble draws ignorance from all (D-1)^N completely orthogonal partners

@@ -21,7 +21,7 @@ import math
 import re
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -266,20 +266,21 @@ def _components(nz: np.ndarray) -> np.ndarray:
 # serialization
 # ---------------------------------------------------------------------------
 
-# An object member's value, after its colon, that is a JSON array of [re, im]
-# pairs of JSON numbers, JSON whitespace allowed between tokens.  The
-# possessive quantifiers (Python 3.11+) keep the match one pass with no
-# backtracking.  A pair may follow a run of [0.0,0.0] pairs, each a _PAIR and a
-# separator; _ZERO_RUN, split at, starts with the literal so that sre scans fast.
+# A JSON string, consumed whole (to the end, if never closed) so that no run
+# is found in one, or a run (group 1): after an array's "[" or an item's ",",
+# as many [re, im] pairs of JSON numbers as follow, JSON whitespace allowed
+# between tokens, with no backtracking (possessive quantifiers, Python 3.11+).
+# A run's item is a pair, or literal [0.0,0.0] pairs joined by commas, which
+# sre matches fast, as it does _ZERO_RUN, split at: such pairs and separators.
 _WS = rb"[ \t\n\r]*+"
 _NUMBER = rb"-?+(?:0|[1-9][0-9]*+)(?:\.[0-9]++)?+(?:[eE][+-]?+[0-9]++)?+"
 _PAIR = rb"\[" + _WS + _NUMBER + _WS + rb"," + _WS + _NUMBER + _WS + rb"\]"
-_ZEROS = rb"\[0\.0,0\.0\]," + _WS + rb"(?:\[0\.0,0\.0\]," + _WS + rb")*+"
-_ZERO_RUN = re.compile(rb"(" + _ZEROS + rb")")
-_PAIRS = rb"(?:" + _ZEROS + rb")?+" + _PAIR
-_ENTRIES = re.compile(
-    rb":" + _WS + rb"(\[" + _WS
-    + rb"(?:" + _PAIRS + rb"(?:" + _WS + rb"," + _WS + _PAIRS + rb")*+)?+" + _WS + rb"\])"
+_ZERO = rb"\[0\.0,0\.0\]"
+_ZERO_RUN = re.compile(rb"(" + _ZERO + rb"," + _WS + rb"(?:" + _ZERO + rb"," + _WS + rb")*+)")
+_ITEM = rb"(?:" + _ZERO + rb"(?:," + _WS + _ZERO + rb")*+|" + _PAIR + rb")"
+_SEP = _WS + rb"," + _WS
+_RUNS = re.compile(
+    rb'"(?:[^"\\]|\\.)*+"?|[\[,]' + _WS + rb"(" + _ITEM + rb"(?:" + _SEP + _ITEM + rb")*+)", re.S
 )
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
 # json reads the integer token -0 as +0.0, numpy's parser as -0.0
@@ -355,86 +356,104 @@ def load_matrix(path: str) -> DensityMatrix:
     flag) is rejected in ``DensityMatrix``'s words, after the path: the
     violated invariant and its magnitude.
 
-    A top-level "entries" array of [re, im] pairs of JSON numbers, however
-    its key is spelled, is parsed straight into one float64 array, skipping
-    runs of [0.0,0.0] pairs, in json's words on error.  Only a file that
-    breaks the format goes through ``json.loads`` and ``payload_to_matrix``,
-    which name its defect.  Of a file with two defects, the routes may differ.
-    A ``MemoryError`` while the entries are read names the path first.
+    ``_read_marked`` reads the file once, each run of [re, im] pairs of JSON
+    numbers a mark.  When the top-level "entries", however its key is
+    spelled, is one mark, its run is parsed straight into one float64 array,
+    skipping runs of [0.0,0.0] pairs, in json's words on error; otherwise the
+    reading names the first defect as a parse of the whole file would.  A
+    ``MemoryError`` while the entries are read names the path first.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-        split = _split_entries(data)
-        if split is not None:
-            header, start, end = split
-            D, N, normalized = _header(header, path)
-            dim = D**N
-            _check_count(data.count(b"[", start, end) - 1, dim, path)
-            crc = zlib.crc32(memoryview(data)[start + 1 : end])
-            source = fh if fh.seekable() else io.BytesIO(data)
-            del data  # the entries are read again, a slice at a time; a pipe's from its bytes
-            try:
-                pairs = _parse_pairs(source, start + 1, end, 2 * dim * dim, crc, path)
-                return _from_pairs(pairs, D, N, normalized, path)
-            except MemoryError as exc:  # numpy's names the allocation, this the file
-                raise MemoryError(f"{path}: {exc}" if str(exc) else path) from None
-    return payload_to_matrix(_loads(data, path), origin=path)
+        runs = [found.span(1) for found in _RUNS.finditer(data) if found.lastindex]
+        payload = _read_marked(data, runs, path)
+
+        def shown(value):  # as json reads it from the file: each mark, its run's pairs
+            if isinstance(value, dict):
+                return {key: shown(item) for key, item in value.items()}
+            if not isinstance(value, list):
+                return value
+            out = []
+            for item in value:
+                span = _run(item, runs)
+                if span is None:
+                    out.append(shown(item))
+                else:
+                    out += _read_marked(b"[%s]" % data[slice(*span)], [], path)
+            return out
+
+        if isinstance(payload, dict):  # D and N as printed
+            payload.update({key: shown(payload[key]) for key in {"D", "N"} & payload.keys()})
+        D, N, normalized = _header(payload, path)
+        dim = D**N
+        entries = payload["entries"]
+        spans = [_run(item, runs) for item in entries] if isinstance(entries, list) else []
+        sizes = [1 if span is None else data.count(b"[", *span) for span in spans]
+        _check_count(sum(sizes) if isinstance(entries, list) else type(entries).__name__, dim, path)
+        for at, item, span in zip(itertools.accumulate(sizes, initial=0), entries, spans):
+            if span is None:
+                _check_pair(at, shown(item), path)
+        [(start, end)] = spans  # runs are maximal: never two items in a row
+        crc = zlib.crc32(memoryview(data)[start:end])
+        source = fh if fh.seekable() else io.BytesIO(data)
+        del data  # the entries are read again, a slice at a time; a pipe's from its bytes
+        try:
+            pairs = _parse_pairs(source, start, end, 2 * dim * dim, crc, path)
+            return _from_pairs(pairs, D, N, normalized, path)
+        except MemoryError as exc:  # numpy's names the allocation, this the file
+            raise MemoryError(f"{path}: {exc}" if str(exc) else path) from None
 
 
-def _loads(data: bytes, origin: str) -> object:
-    """``json.loads`` of UTF-8 ``data``, each error named after ``origin``."""
+def _read_marked(data: bytes, runs: list[tuple[int, int]], origin: str) -> object:
+    """json's reading of UTF-8 ``data`` with run k, the bytes ``runs[k]`` spans,
+    replaced by the mark [0.5,k.5]; each error is named after ``origin``, a parse
+    or decode error at its place in ``data`` (\\n, \\r, \\r\\n: one line break each).
+    Every array item json reads as a pair of finite numbers lies in a run, and
+    json reads no bool or null as a float: a pair of finite floats is a mark."""
+    marks = [b"[0.5,%d.5]" % k for k in range(len(runs))]
+    bounds = [0, *itertools.chain.from_iterable(runs), len(data)]
+    outside = [data[lo:hi] for lo, hi in zip(bounds[::2], bounds[1::2])]
+    text = b"".join(itertools.chain.from_iterable(zip(outside, [*marks, b""])))
+
+    def at(offset: int) -> int:  # the offset in data of one in text, never inside a mark
+        for (lo, hi), mark in zip(runs, marks):
+            offset += hi - lo - len(mark) if offset > lo else 0
+        return offset
+
     try:
-        # newlines translated as a text-mode read does, so the line and
-        # column of a parse error are as json reports them for such a read
-        return json.loads(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))
+        return json.loads(text.decode("utf-8"))
     except json.JSONDecodeError as exc:
-        raise MatrixFormatError(
-            f"{origin}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+        pos = at(len(exc.doc[: exc.pos].encode()))
+        line = data.count(b"\n", 0, pos) + data.count(b"\r", 0, pos) - data.count(b"\r\n", 0, pos)
+        last = max(data.rfind(b"\n", 0, pos), data.rfind(b"\r", 0, pos))
+        cut = bytes(range(128, 192))  # UTF-8 continuation bytes: the rest are the characters
+        chars = sum(len(data[lo : min(lo + PARSE_SLICE_BYTES, pos)].translate(None, cut))
+                    for lo in range(last + 1, pos, PARSE_SLICE_BYTES))
+        message = f"JSON parse error at line {line + 1}, column {chars + 1}: {exc.msg}"
+        raise MatrixFormatError(f"{origin}: {message}") from exc
     except ValueError as exc:  # not UTF-8, or an integer past the str digit limit
+        if isinstance(exc, UnicodeDecodeError):
+            lo = at(exc.start)
+            exc.object, exc.start, exc.end = data, lo, lo + exc.end - exc.start
         raise MatrixFormatError(f"{origin}: {exc}") from None
     except RecursionError:
         raise MatrixFormatError(f"{origin}: JSON nesting too deep to parse") from None
-    except MemoryError:  # only a file that breaks the format is parsed whole
-        message = f"{origin}: breaks the matrix format and is too large to parse whole"
-        raise MatrixFormatError(message) from None
 
 
-def _split_entries(data: bytes) -> tuple[dict, int, int] | None:
-    """(header, start, end) when ``data[start:end]``, an ``_ENTRIES`` match (any
-    member's array of pairs, even in a string), is the "entries" value json
-    keeps, whatever the key's escapes, nesting or duplicates; the header is
-    json's reading with it replaced.  With every match k replaced by [k], json
-    keeps [k] only from k or a literal [k]; with k alone by [~k], only from k."""
-    spans = [found.span(1) for found in _ENTRIES.finditer(data)]
-    every = _read_marked(data, spans, range(len(spans))) if spans else None
-    kept = every.get("entries") if isinstance(every, dict) else None
-    for k, span in enumerate(spans):
-        header = _read_marked(data, [span], [~k]) if kept == [k] else None
-        if isinstance(header, dict) and header.get("entries") == [~k]:
-            return header, *span
-    return None
-
-
-def _read_marked(data: bytes, spans: list[tuple[int, int]], marks: Iterable[int]) -> object:
-    """json's reading of ``data`` with each span replaced by [mark], or None."""
-    bounds = [0, *itertools.chain.from_iterable(spans), len(data)]
-    outside = [data[lo:hi] for lo, hi in zip(bounds[::2], bounds[1::2])]
-    text = b"".join(piece + b"[%d]" % mark for piece, mark in zip(outside, marks)) + outside[-1]
-    try:
-        return json.loads(text.decode("utf-8"))
-    except (ValueError, RecursionError):
-        return None
+def _run(item: object, runs: list[tuple[int, int]]) -> tuple[int, int] | None:
+    """``runs[k]`` when ``item`` of a marked reading is the mark of run k."""
+    marked = type(item) is list and len(item) == 2 and all(type(x) is float for x in item)
+    return runs[int(item[1])] if marked and all(map(math.isfinite, item)) else None
 
 
 def _parse_pairs(source, lo: int, end: int, size: int, crc: int, origin: str) -> np.ndarray:
-    """The ``size`` numbers of the entries text, bytes ``lo`` (after the
-    array's "[") to ``end`` of the binary file ``source``, as one float64
-    array, read as json reads them, ``PARSE_SLICE_BYTES`` at a time, each
-    slice cut at the comma after its last whole pair.  Each slice's integer
-    tokens -0 become 0 before numpy reads it, and its ``_ZERO_RUN`` matches are
-    cut out, their pairs left zero.  A number beyond the float range reads as
-    inf; json reads the first such pair alone, so the error is json's.  A
+    """The ``size`` numbers of the run of pairs, bytes ``lo`` to ``end`` of the
+    binary file ``source``, as one float64 array, read as json reads them,
+    ``PARSE_SLICE_BYTES`` at a time, each slice cut at the comma after its
+    last whole pair.  Each slice's integer tokens -0 become 0 before numpy
+    reads it, and its ``_ZERO_RUN`` matches are cut out, their pairs left
+    zero.  A number beyond the float range reads as inf; ``_read_marked``
+    reads the first such pair alone, so the error is json's.  A
     short read, a slice that is not its pairs or a CRC-32 other than ``crc``
     means the file changed after it was checked."""
     changed = MatrixFormatError(f"{origin}: changed while it was read")
@@ -466,7 +485,7 @@ def _parse_pairs(source, lo: int, end: int, size: int, crc: int, origin: str) ->
         if not np.isfinite(part).all():
             j = int(np.argmin(np.isfinite(part).all(axis=1)))  # the slice's first pair with an inf
             found = next(itertools.islice(re.finditer(_PAIR, text), j, None))
-            pair = _loads(found.group(), origin)
+            pair = _read_marked(found.group(), [], origin)
             raise MatrixFormatError(f"{origin}: entry {filled + at[j]} is not finite: {pair!r}")
         pairs[filled + at] = part
         filled += len(part) + sum(runs)
@@ -475,29 +494,22 @@ def _parse_pairs(source, lo: int, end: int, size: int, crc: int, origin: str) ->
     return pairs.reshape(-1)
 
 
-def payload_to_matrix(payload: object, *, origin: str = "<payload>") -> DensityMatrix:
-    """The matrix of a parsed matrix file; the first bad entry is named."""
-    D, N, normalized = _header(payload, origin)
-    dim = D**N
-    entries = payload["entries"]
-    got = len(entries) if isinstance(entries, list) else type(entries).__name__
-    _check_count(got, dim, origin)
-    for k, pair in enumerate(entries):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
-        ):
-            raise MatrixFormatError(
-                f"{origin}: entry {k} must be a [re, im] pair of numbers, got {pair!r}"
-            )
-        try:
-            finite = math.isfinite(pair[0]) and math.isfinite(pair[1])
-        except OverflowError:  # an integer beyond the float range
-            finite = False
-        if not finite:
-            raise MatrixFormatError(f"{origin}: entry {k} is not finite: {pair!r}")
-    return _from_pairs(np.array(entries, dtype=np.float64).reshape(-1), D, N, normalized, origin)
+def _check_pair(k: int, pair: object, origin: str) -> None:
+    """Refuse entry ``k`` unless it is a [re, im] pair of finite numbers."""
+    if (
+        not isinstance(pair, list)
+        or len(pair) != 2
+        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
+    ):
+        raise MatrixFormatError(
+            f"{origin}: entry {k} must be a [re, im] pair of numbers, got {pair!r}"
+        )
+    try:
+        finite = math.isfinite(pair[0]) and math.isfinite(pair[1])
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise MatrixFormatError(f"{origin}: entry {k} is not finite: {pair!r}")
 
 
 def _header(payload: object, origin: str) -> tuple[int, int, bool]:

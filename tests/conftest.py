@@ -4,6 +4,10 @@ from causal_sep.config_calculus import check_dims
 from causal_sep.density import (
     DensityMatrix,
     PartySubset,
+    _check_count,
+    _check_pair,
+    _from_pairs,
+    _header,
     config_to_index,
     matrix_chunks,
     partial_transpose,
@@ -30,6 +34,18 @@ def save_matrix(rho, path):
     chunks = matrix_chunks(rho)  # before open: a refused matrix leaves the file as it was
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(chunks)
+
+
+def payload_to_matrix(payload, *, origin="<payload>"):
+    """Oracle: the matrix of a parsed matrix file, its first defect named in
+    ``load_matrix``'s words: the header, the count of pairs, then each entry."""
+    D, N, normalized = _header(payload, origin)
+    entries = payload["entries"]
+    got = len(entries) if isinstance(entries, list) else type(entries).__name__
+    _check_count(got, D**N, origin)
+    for k, pair in enumerate(entries):
+        _check_pair(k, pair, origin)
+    return _from_pairs(np.array(entries, dtype=np.float64).reshape(-1), D, N, normalized, origin)
 
 
 def run_cli(argv, capsys):

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import is_completely_orthogonal
+from conftest import is_completely_orthogonal, payload_to_matrix
 from causal_sep.config_calculus import (
     ConfigCensus,
     CouplingMode,
@@ -14,7 +14,7 @@ from causal_sep.config_calculus import (
     orthogonal_partners,
     partition_distinct,
 )
-from causal_sep.density import DensityMatrix, MatrixFormatError, PartySubset, payload_to_matrix
+from causal_sep.density import DensityMatrix, MatrixFormatError, PartySubset
 from causal_sep.ec_family import (
     ECClass,
     ECParams,

@@ -8,6 +8,7 @@ from conftest import (
     basis_state,
     bell_state,
     complement,
+    ghz_mixture,
     maximally_mixed,
     random_hermitian,
     random_state,
@@ -232,3 +233,30 @@ def test_classify_two_qubit_ten_parties_memory_bound():
         assert peak < GATHER_BYTES + sum(a.nbytes for a in arrays)
         assert report.W.shape == (512, 511)
         assert report.overall is OverallVerdict.ENTANGLED
+
+
+def test_coupled_mode_reads_a_qutrit_product_state_entangled():
+    # |+>|+> on two qutrits, |+> = (|0> + |1> + |2>)/sqrt(3), every entry 1/9:
+    # a product state, PPT on its one cut.  Free mode reads it separable;
+    # coupled mode, whose W is minus free mode's on a pure product state, reads
+    # it entangled: at D >= 3 a coupled `entangled` certifies nothing.  A
+    # regression record of the code, not a target
+    rho = DensityMatrix(3, 2, np.full((9, 9), 1 / 9))
+    free, coupled = classify(rho, FREE), classify(rho, COUPLED)
+    assert free.overall is OverallVerdict.SEPARABLE_BY_CRITERION
+    assert free.W.min() == pytest.approx(2 / 81, abs=1e-15)
+    assert coupled.overall is OverallVerdict.ENTANGLED
+    assert coupled.W.min() == pytest.approx(-2 / 81, abs=1e-15)
+    assert ppt_check(rho, S0).verdict is PptOutcome.PPT_SEPARABLE_CONSISTENT
+
+
+@pytest.mark.parametrize("N", range(2, 7))
+def test_free_and_coupled_modes_are_one_test_at_d2(N):
+    # at D = 2 the one cyclic shift of a configuration is its one completely
+    # orthogonal partner, so the two modes swap two equal families
+    rng = np.random.default_rng(N)
+    for rho in [random_state(2, N, rng) for _ in range(5)] + [ghz_mixture(2, N, 0.9)]:
+        free, coupled = classify(rho, FREE), classify(rho, COUPLED)
+        for name in ("P_ignorance", "P_transition", "W", "entangled"):
+            assert getattr(free, name).tobytes() == getattr(coupled, name).tobytes(), name
+    assert free.overall is OverallVerdict.ENTANGLED  # the GHZ mixture

@@ -14,6 +14,7 @@ from conftest import (
     complement,
     element,
     maximally_mixed,
+    payload_to_matrix,
     random_hermitian,
     run_cli,
     save_matrix,
@@ -31,7 +32,6 @@ from causal_sep.density import (
     load_matrix,
     matrix_to_payload,
     partial_transpose,
-    payload_to_matrix,
 )
 from causal_sep.ec_family import ECClass, ECParams, Mixing, all_variants, build_ec_matrix
 from causal_sep.config_calculus import CouplingMode, config_labels
@@ -508,14 +508,13 @@ def test_matrix_payload_shape():
 def _json_route(path):
     """The loader that parses the whole file with json.loads: its arrays and
     its error messages are what load_matrix must reproduce."""
-    text = open(path, encoding="utf-8").read()
     try:
-        payload = json.loads(text)
+        payload = json.loads(open(path, encoding="utf-8").read())
     except json.JSONDecodeError as exc:
         raise MatrixFormatError(
             f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except ValueError as exc:  # an integer past the str digit limit
+    except ValueError as exc:  # not UTF-8, or an integer past the str digit limit
         raise MatrixFormatError(f"{path}: {exc}") from None
     return payload_to_matrix(payload, origin=str(path))
 
@@ -554,14 +553,9 @@ def _encode(pairs, D, N, style):
     return f'{{\n "D": {D},\n "N": {N},\n "normalized": false,\n "entries": [\n{body}\n]\n}}'
 
 
-def _refuse_json_route(*args, **kwargs):
-    raise AssertionError("the json route ran on a file of number pairs")
-
-
 @pytest.mark.parametrize("style", ["compact", "default", "indent"])
 @pytest.mark.parametrize("with_int_minus_zero", [False, True])
-def test_load_bitwise_equal_to_json_route(tmp_path, monkeypatch, style, with_int_minus_zero):
-    monkeypatch.setattr(density, "payload_to_matrix", _refuse_json_route)
+def test_load_bitwise_equal_to_json_route(tmp_path, style, with_int_minus_zero):
     rng = np.random.default_rng(23)
     tokens = _EDGE_TOKENS + ["-0"] * with_int_minus_zero
     for k, (D, N) in enumerate([(2, 1), (2, 2), (3, 2), (1, 0)] * 3):
@@ -580,7 +574,6 @@ def test_load_in_small_slices_equals_json_route(tmp_path, monkeypatch, slice_byt
     # whitespace around them; an integer -0 in any slice reads as json reads
     # it, on the array route
     monkeypatch.setattr(density, "PARSE_SLICE_BYTES", slice_bytes)
-    monkeypatch.setattr(density, "payload_to_matrix", _refuse_json_route)
     rng = np.random.default_rng(29)
     for k, (D, N) in enumerate([(2, 1), (2, 2), (3, 2), (2, 3), (1, 0)] * 2):
         minus_zero = ["-0", "-0", "1e-0", "-0e-0"] * (k >= 5)
@@ -595,14 +588,13 @@ def test_load_in_small_slices_equals_json_route(tmp_path, monkeypatch, slice_byt
     assert load_matrix(str(tmp_path / "ec.json")).matrix.tobytes() == ec.matrix.tobytes()
 
 
-def test_load_reads_number_pairs_without_json_entries(tmp_path, monkeypatch):
+def test_load_reads_number_pairs_without_json_entries(tmp_path):
     signed_zeros = np.array([[0.5, complex(-0.0, -0.0)], [complex(-0.0, 0.0), 0.5]])
     states = [
         build_ec_matrix(ECParams(ECClass.A, Mixing.WEAK, CouplingMode.N_FREE, 3, 3, 0.4 - 0.3j)),
         DensityMatrix(2, 1, signed_zeros),  # -0.0 tokens, which json reads as -0.0 too
     ]
 
-    monkeypatch.setattr(density, "payload_to_matrix", _refuse_json_route)
     for k, rho in enumerate(states):
         path = tmp_path / f"m{k}.json"
         save_matrix(rho, str(path))
@@ -627,13 +619,12 @@ _GOOD = '{"D":2,"N":1,"normalized":true,"entries":[[0.5,0.0],[0.1,-0.2],[0.1,0.2
         ("[0.5,0.0],[0.1,-0.2],[0.1,0.2],[0.5,0.0]", "[0.5,-0],[-0,-0],[-0,-0],[0.5,-0]"),
     ],
 )
-def test_load_integer_minus_zero_without_json_route(tmp_path, monkeypatch, old, new):
+def test_load_integer_minus_zero_without_json_route(tmp_path, old, new):
     # json reads the integer token -0 as +0.0; the array route must too
     assert old in _GOOD
     text = _GOOD.replace(old, new, 1)
     path = tmp_path / "m.json"
     path.write_text(text)
-    monkeypatch.setattr(density, "payload_to_matrix", _refuse_json_route)
     want = np.array(json.loads(text)["entries"], dtype=np.float64)
     got = load_matrix(str(path)).matrix.view(np.float64).reshape(-1, 2)
     assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
@@ -657,11 +648,42 @@ def test_load_integer_minus_zero_without_json_route(tmp_path, monkeypatch, old, 
         ('"N":1,', '\r"N":,'),  # a lone CR ends a line in a text-mode read
         ('"N":1,', '\r\n"N":,'),
         (_GOOD, f"[{_GOOD}]"),  # the top-level value is not an object
+        # pairs in the header, read back to be printed; in a string, none
+        ('"D":2', '"D":[[1,0]]'),
+        ('"D":2', '"D":{"x":"y,[1,2]","z":[[1,2],[3,4]]}'),
+        ("[0.1,-0.2]", '",[1,2]"'),  # entries that are not pairs, around pairs
+        ("[0.1,-0.2]", '{"a":[[1,0],[2,0]]}'),
+        ("[0.1,-0.2],[0.1,0.2]", '[0.0,0.0],"x"'),  # zero pairs before an item that is not
+        ("[0.1,-0.2],[0.1,0.2],[0.5,0.0]", "[0.0,0.0], [0.0,0.0] ,[1]"),
+        ("]]}", ']],"x":"a,[1,\r0]}'),  # a string never closed, a control character in it
+        (_GOOD, _GOOD.replace(":", ": ").replace(",", ",\r\n ").replace("]]}", "]],\r\n}\r\n")),
     ],
 )
 def test_load_errors_match_json_route(tmp_path, old, new):
     path = tmp_path / "bad.json"
     path.write_text(_GOOD.replace(old, new, 1))
+    with pytest.raises(MatrixFormatError) as want:
+        _json_route(path)
+    with pytest.raises(MatrixFormatError) as got:
+        load_matrix(str(path))
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        _GOOD.encode()[:-1] + b',"x":"\xff"}',  # a byte that is not UTF-8, after the entries
+        _GOOD.encode()[:-1] + b',"x":"\xc3[1,2]"}',
+        # a column counts characters, not bytes
+        _GOOD.encode().replace(b'"D":2,', b'"\xc3\xa9":"\xe2\x82\xac","D":2 2,'),
+        _GOOD.encode().replace(b"[0.5,0.0]]", b"[0.5,0.0]]\n,\"\xc3\xa9\" ]"),
+        b"\xef\xbb\xbf" + _GOOD.encode(),  # a byte order mark
+    ],
+)
+def test_load_error_bytes_match_json_route(tmp_path, data):
+    # files that write_text cannot produce, named at their place in the file
+    path = tmp_path / "bad.json"
+    path.write_bytes(data)
     with pytest.raises(MatrixFormatError) as want:
         _json_route(path)
     with pytest.raises(MatrixFormatError) as got:
@@ -692,32 +714,14 @@ def test_load_errors_match_json_route(tmp_path, old, new):
         ('"entries":', '"entries" :\n'),
     ],
 )
-def test_load_unusual_json_equals_json_route(tmp_path, monkeypatch, old, new):
+def test_load_unusual_json_equals_json_route(tmp_path, old, new):
     # every valid spelling takes the streamed route, the escaped key included
     path = tmp_path / "odd.json"
     path.write_text(_GOOD.replace(old, new, 1))
     want = _json_route(path)
-    monkeypatch.setattr(density, "payload_to_matrix", _refuse_json_route)
     got = load_matrix(str(path))
     assert got.matrix.tobytes() == want.matrix.tobytes()
     assert got.normalized == want.normalized
-
-
-def test_load_names_a_file_too_large_to_parse_whole(tmp_path, monkeypatch, capsys):
-    # a file that breaks the format is parsed whole to name its defect; when
-    # that runs out of memory, the error names the file, with no traceback
-    path = tmp_path / "bad.json"
-    path.write_text(_GOOD.replace("0.1,-0.2", '0.1,"x"', 1))
-    assert density._ENTRIES.search(path.read_bytes()) is None  # no streamed candidate
-
-    def out_of_memory(*args, **kwargs):
-        raise MemoryError
-
-    monkeypatch.setattr(density.json, "loads", out_of_memory)
-    message = f"{path}: breaks the matrix format and is too large to parse whole"
-    with pytest.raises(MatrixFormatError, match=f"^{re.escape(message)}$"):
-        load_matrix(str(path))
-    assert run_cli(["classify", "--input", str(path)], capsys) == (2, "", f"error: {message}\n")
 
 
 _OUT_OF_RANGE = ["1e400", "-1e400", "1" + "0" * 400, "-1" + "0" * 5000]
@@ -728,7 +732,6 @@ _OUT_OF_RANGE = ["1e400", "-1e400", "1" + "0" * 400, "-1" + "0" * 5000]
 def test_load_out_of_range_entry_errors_match_json_route(tmp_path, monkeypatch, slice_bytes, style):
     # numpy reads each of these as inf; the pair alone is json's to name
     monkeypatch.setattr(density, "PARSE_SLICE_BYTES", slice_bytes)
-    monkeypatch.setattr(density, "payload_to_matrix", _refuse_json_route)
     pairs = _edge_entries(_EDGE_TOKENS + ["-0"], 4, np.random.default_rng(31))
     path = tmp_path / "bad.json"
     for token in _OUT_OF_RANGE:
@@ -775,7 +778,6 @@ def test_load_zero_runs_equal_json_route(tmp_path, monkeypatch, slice_bytes):
     # commas, and zeros spelled otherwise among them, read bit for bit as
     # json reads them
     monkeypatch.setattr(density, "PARSE_SLICE_BYTES", slice_bytes)
-    monkeypatch.setattr(density, "payload_to_matrix", _refuse_json_route)
     rng = np.random.default_rng(37)
     other_zeros = [("0.0", "0.0"), ("-0.0", "0.0"), ("0", "-0"), ("0.00", "0e0"), ("0.0", "-0")]
     for k, (D, N) in enumerate([(2, 1), (2, 2), (3, 2), (2, 3), (1, 0)] * 4):
@@ -788,8 +790,7 @@ def test_load_zero_runs_equal_json_route(tmp_path, monkeypatch, slice_bytes):
         assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes(), path.read_text()
 
 
-def test_load_all_zero_matrix(tmp_path, monkeypatch):
-    monkeypatch.setattr(density, "payload_to_matrix", _refuse_json_route)
+def test_load_all_zero_matrix(tmp_path):
     path = tmp_path / "zero.json"
     for sep in [",", ", ", " ,\n"]:
         pairs = sep.join(["[0.0,0.0]"] * 16)
@@ -802,7 +803,6 @@ def test_load_all_zero_matrix(tmp_path, monkeypatch):
 def test_load_out_of_range_entry_after_zero_runs(tmp_path, monkeypatch, slice_bytes):
     # the index of the entry named counts the zero pairs that were skipped
     monkeypatch.setattr(density, "PARSE_SLICE_BYTES", slice_bytes)
-    monkeypatch.setattr(density, "payload_to_matrix", _refuse_json_route)
     rng = np.random.default_rng(41)
     path = tmp_path / "bad.json"
     pairs = _sparse_grid(8, rng, 0.8)
@@ -859,9 +859,9 @@ def test_load_parses_no_zero_run(tmp_path, monkeypatch):
 
 
 def test_read_marked_refuses_deep_nesting():
-    # json.loads raises RecursionError, not ValueError, past its stack depth;
-    # the whole-file route then names the file (tests/test_cli.py)
-    assert density._read_marked(b"[" * 3000 + b"]" * 3000, [], []) is None
+    # json.loads raises RecursionError, not ValueError, past its stack depth
+    with pytest.raises(MatrixFormatError, match="^x: JSON nesting too deep to parse$"):
+        density._read_marked(b"[" * 3000 + b"]" * 3000, [], "x")
 
 
 def test_load_error_messages(tmp_path):
@@ -1022,7 +1022,7 @@ def test_save_rejects_non_finite_entries(tmp_path):
     assert path.read_text() == "kept"
 
 
-def test_load_memory_bound_at_1024(tmp_path, monkeypatch):
+def test_load_memory_bound_at_1024(tmp_path):
     rho = build_ec_matrix(ECParams(ECClass.A, Mixing.STRONG, CouplingMode.N_FREE, 2, 10, 0.3 + 0.4j))
     path = tmp_path / "cap.json"
     tracemalloc.start()
@@ -1036,7 +1036,6 @@ def test_load_memory_bound_at_1024(tmp_path, monkeypatch):
     want = rho.matrix.tobytes()
     del rho
     text = path.read_text()
-    monkeypatch.setattr(density, "payload_to_matrix", _refuse_json_route)
     for old, new in [
         ("", ""),  # the file as saved
         ('"normalized"', '"\\u006eormalized"'),
@@ -1055,6 +1054,56 @@ def test_load_memory_bound_at_1024(tmp_path, monkeypatch):
         # the entries are read again a slice at a time
         bound = len(want) + 4 * density.PARSE_SLICE_BYTES
         assert peak < bound, f"load of {new!r} peaked at {peak / 2**20:.2f} MiB"
+
+
+def _traced_load(path):
+    """load_matrix(path), or the MatrixFormatError it raises, and the traced peak."""
+    tracemalloc.start()
+    try:
+        try:
+            result = load_matrix(str(path))
+        except MatrixFormatError as exc:
+            result = exc
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _ec28_text(tmp_path):
+    rho = build_ec_matrix(ECParams(ECClass.A, Mixing.STRONG, CouplingMode.N_FREE, 2, 8, 0.3 + 0.4j))
+    save_matrix(rho, str(tmp_path / "ec.json"))
+    return rho, (tmp_path / "ec.json").read_text()
+
+
+@pytest.mark.parametrize("defect", ["pair", "cut"])
+def test_load_names_a_defect_in_bounded_memory(tmp_path, defect):
+    # one marked reading names the defect of a file that breaks the format, in
+    # the words of a parse of the whole file, holding little beyond its bytes
+    _, text = _ec28_text(tmp_path)
+    path = tmp_path / "bad.json"
+    path.write_text(text.replace("[0.0,0.0]", '[0.0,"x"]', 1) if defect == "pair" else text[:-3])
+    with pytest.raises(MatrixFormatError) as want:
+        _json_route(path)
+    got, peak = _traced_load(path)
+    assert isinstance(got, MatrixFormatError) and str(got) == str(want.value)
+    assert peak < path.stat().st_size + 2**20, f"naming peaked at {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("where", ["before", "after"])
+def test_load_entries_also_under_another_key(tmp_path, where):
+    # a second array of the same pairs is one more mark in the reading, never
+    # a list of Python pairs: the load peaks as the plain file's does
+    rho, text = _ec28_text(tmp_path)
+    plain, plain_peak = _traced_load(tmp_path / "ec.json")
+    entries = text[text.index('"entries":') + len('"entries":') : text.rindex("}")]
+    path = tmp_path / "copy.json"
+    if where == "before":
+        path.write_text(text.replace('"D":', f'"x":{entries},"D":', 1))
+    else:
+        path.write_text(text[: text.rindex("}")] + f',"x":{entries}}}\n')
+    got, peak = _traced_load(path)
+    assert got.matrix.tobytes() == plain.matrix.tobytes() == rho.matrix.tobytes()
+    assert peak <= plain_peak + 2**19, f"{peak / 2**20:.2f} MiB, plain {plain_peak / 2**20:.2f}"
 
 
 def _ec_file(tmp_path):
@@ -1076,13 +1125,13 @@ def test_load_refuses_a_file_changed_while_it_is_read(tmp_path, monkeypatch, cap
     text = path.read_text()
     last = text.rindex("0.0]")  # a digit of the last entry
     changed = text[:last] + "0.1]" + text[last + 4 :] if change == "digit" else text[:-40]
-    split_entries = density._split_entries
+    read_marked = density._read_marked
 
-    def rewrite(data):
+    def rewrite(*args):
         path.write_text(changed)
-        return split_entries(data)
+        return read_marked(*args)
 
-    monkeypatch.setattr(density, "_split_entries", rewrite)
+    monkeypatch.setattr(density, "_read_marked", rewrite)
     message = f"{path}: changed while it was read"
     with pytest.raises(MatrixFormatError, match=f"^{re.escape(message)}$"):
         load_matrix(str(path))
@@ -1096,15 +1145,15 @@ def test_load_refuses_a_slice_that_no_longer_parses(tmp_path, monkeypatch):
     monkeypatch.setattr(density, "PARSE_SLICE_BYTES", 7)
     _, path = _ec_file(tmp_path)
     text = path.read_text()
-    split_entries = density._split_entries
+    read_marked = density._read_marked
     for old, new in [("[0.0,0.0]", "[0.0 0.0]"), ("[0.0,0.0]", " 0.0,0.0]"), ("0.0", "x.0")]:
         at = text.index(old, len(text) // 2)
 
-        def rewrite(data, changed=text[:at] + new + text[at + len(old) :]):
+        def rewrite(*args, changed=text[:at] + new + text[at + len(old) :]):
             path.write_text(changed)
-            return split_entries(data)
+            return read_marked(*args)
 
-        monkeypatch.setattr(density, "_split_entries", rewrite)
+        monkeypatch.setattr(density, "_read_marked", rewrite)
         with pytest.raises(MatrixFormatError, match="changed while it was read"):
             load_matrix(str(path))
         path.write_text(text)

@@ -29,12 +29,12 @@ from causal_sep.density import (
     matrix_chunks,
     matrix_to_payload,
     partial_transpose,
-    payload_to_matrix,
 )
 
 from conftest import (
     complement,
     is_completely_orthogonal,
+    payload_to_matrix,
     random_hermitian,
     random_state,
     save_matrix,
