@@ -36,7 +36,7 @@ from .density import (
     PartySubset,
     float_texts,
     load_matrix,
-    matrix_chunks,
+    matrix_to_payload,
 )
 from .ec_family import (
     ECClass,
@@ -286,7 +286,7 @@ Variant = tuple[ECClass, Mixing, CouplingMode]
 
 
 def _variant(args) -> Variant:
-    return ECClass(args.ec_class), Mixing(args.mixing), CouplingMode(args.coupling or "free")
+    return ECClass(args.ec_class), Mixing(args.mixing), CouplingMode(args.coupling)
 
 
 def _params(variant: Variant, args, p: complex) -> ECParams:
@@ -305,7 +305,7 @@ def cmd_ec_build(args) -> Iterable[str]:
         f"min eigenvalue = {min_eig!r} ({'PSD' if psd else 'not PSD'})",
         file=sys.stderr,
     )
-    return matrix_chunks(rho)
+    return matrix_to_payload(rho)
 
 
 def _threshold_rows(variant: Variant, D: int, N: int, m_abs: int | None) -> Iterable[list]:
@@ -376,15 +376,14 @@ def _grid(args) -> list[float]:
 
 
 def _b_closed_W_binding(params: ECParams, m_abs: int) -> float | None:
-    """min over the signed branches m = +-m_abs; None where the closed form
-    diverges (zero base under a negative power at a p endpoint)."""
-    m_j = sum(params.b_sites)
+    """min over the signed branches m = +-m_abs whose closed form is finite;
+    None where both diverge (zero base under a negative power at a p endpoint)."""
     values = []
     for m in (m_abs, -m_abs):
-        p = params.p_real
-        if (p == 0.0 and params.N - m_j + m < 0) or (p == 1.0 and m_j - m < 0):
+        try:  # m_j = N and m_abs in 1..N-1 are valid: only a divergent branch raises
+            values.append(closed_form_W(params, m_j=sum(params.b_sites), m=m))
+        except ValueError:
             continue
-        values.append(closed_form_W(params, m_j=m_j, m=m))
     return min(values) if values else None
 
 

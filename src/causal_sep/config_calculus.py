@@ -61,32 +61,22 @@ def config_labels(D: int, N: int) -> np.ndarray:
     return np.indices((D,) * N).reshape(N, D**N).T
 
 
-def orthogonal_partners(
-    c: Configuration, D: int, mode: CouplingMode
-) -> list[Configuration]:
-    """Partner family of c under the given coupling mode, sorted.
-
-    N_FREE: every configuration completely orthogonal to c, all (D-1)^N
-    of them.  N_COUPLED: the D-1 uniform cyclic shifts c + (d, d, ..., d)
-    mod D for d = 1..D-1.
-    """
-    N = len(c)
-    check_dims(D, N)
-    for label in c:
-        if not (is_integer(label) and 0 <= label < D):
-            raise ValueError(f"label {label} out of range for D={D}")
-    return [tuple(p) for p in partner_labels(np.array([c]), D, mode)[:, 0].tolist()]
-
-
-def partner_labels(configs: np.ndarray, D: int, mode: CouplingMode) -> np.ndarray:
-    """Partner families of the configurations ``configs`` (J, N, valid
-    labels) as one (P, J, N) label array, each family sorted.
-
-    Free: the o-th choice at a site is o, skipping the site's own label, so
-    choices taken in product order stay sorted.  Coupled: the shifts are
-    ordered by the first label they produce.
-    """
-    configs = np.asarray(configs, dtype=np.int64)
+def orthogonal_partners(configs: np.ndarray, D: int, mode: CouplingMode) -> np.ndarray:
+    """Partner families of the (J, N) integer label array ``configs`` as one
+    (P, J, N) label array, each family sorted; a label that is not an integer
+    in 0..D-1 is refused by name, and D and N as ``check_dims`` refuses them.
+    N_FREE: all (D-1)^N completely orthogonal configurations, the o-th choice
+    at a site being o, skipping the site's own label (product order stays
+    sorted).  N_COUPLED: the D-1 uniform cyclic shifts c + (d, ..., d) mod D,
+    d = 1..D-1, ordered by the first label they produce."""
+    labels = np.asarray(configs)
+    if labels.ndim != 2:
+        raise ValueError(f"expected a (J, N) label array, got shape {labels.shape}")
+    check_dims(D, labels.shape[1])
+    ok = (labels >= 0) & (labels < D) if labels.dtype.kind in "iu" else np.zeros_like(labels, bool)
+    if not ok.all():
+        raise ValueError(f"label {labels[~ok][0].item()!r} is not an integer in 0..{D - 1}")
+    configs = labels.astype(np.int64, copy=False)
     if mode is CouplingMode.N_COUPLED:
         first = np.arange(D - 1)[:, None]
         first = first + (first >= configs[:, 0])

@@ -44,8 +44,8 @@ from .config_calculus import (
     CouplingMode,
     check_dims,
     label_weights,
+    orthogonal_partners,
     partition_distinct,
-    partner_labels,
 )
 from .density import (
     DensityMatrix,
@@ -216,8 +216,8 @@ def _gather(
     D, dim = rho.D, rho.dim
     weights = label_weights(D, rho.N)
     diag = lambda index: rho.entries(index * (dim + 1)).real
-    p_ign = diag(j @ weights) * sum(diag(partner_labels(j, D, mode) @ weights), 0.0)
-    l = partner_labels(j, D, _swapped(mode))
+    p_ign = diag(j @ weights) * sum(diag(orthogonal_partners(j, D, mode) @ weights), 0.0)
+    l = orthogonal_partners(j, D, _swapped(mode))
     entry = rho.entries(pt_flat(j, l, D, in_subset))
     terms = np.hypot(entry.real, entry.imag)
     terms *= terms

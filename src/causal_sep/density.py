@@ -292,18 +292,11 @@ PARSE_SLICE_BYTES = 2**18
 WRITE_CHUNK = 2**16
 
 
-def matrix_to_payload(rho: DensityMatrix) -> dict:
-    """The file's object with the entries as nested lists; ``matrix_chunks``
-    writes the same text without building them."""
-    entries = np.ascontiguousarray(rho.matrix).view(np.float64).reshape(-1, 2).tolist()
-    return {"D": rho.D, "N": rho.N, "normalized": rho.normalized, "entries": entries}
-
-
-def matrix_chunks(rho: DensityMatrix) -> Iterator[str]:
-    """The matrix file text in pieces, ``WRITE_CHUNK`` floats of entries at a
-    time, a run of (+0.0, +0.0) pairs at once: joined, byte for byte
-    ``json.dumps(matrix_to_payload(rho), separators=(",", ":"))`` and a newline
-    (json writes a float as its repr).  A non-finite entry raises before any."""
+def matrix_to_payload(rho: DensityMatrix) -> Iterator[str]:
+    """The matrix file text in pieces, ``WRITE_CHUNK`` floats of entries or a
+    run of (+0.0, +0.0) pairs at a time: compact JSON ``{"D":..,"N":..,
+    "normalized":..,"entries":[[re,im],...]}``, entries row-major, each float
+    its repr, and a newline.  A non-finite entry raises before any piece."""
     head = json.dumps(
         {"D": rho.D, "N": rho.N, "normalized": rho.normalized}, separators=(",", ":")
     )

@@ -320,10 +320,11 @@ def closed_form_W(
 
     if m_j is None or m is None:
         raise ValueError("b-class closed form needs both m_j and m")
-    if not isinstance(m_j, int) or not 1 <= m_j <= N:
+    if not is_integer(m_j) or not 1 <= m_j <= N:
         raise ValueError(f"m_j must be an integer in 1..N={N}, got {m_j!r}")
-    if not isinstance(m, int) or m == 0 or abs(m) > N - 1:
+    if not is_integer(m) or m == 0 or abs(m) > N - 1:
         raise ValueError(f"m must be a nonzero integer with |m| <= N-1={N - 1}, got {m!r}")
+    m_j, m = int(m_j), int(m)
     p = params.p_real
     c = x ** _b_bracket_exponent(params.mixing, params.coupling, N)
     term1 = _pow_finite(1.0 - p, 2 * m_j) * _pow_finite(p, 2 * (N - m_j))
@@ -434,9 +435,9 @@ def m_abs_values(N: int, m_abs: int | None = None) -> Sequence[int]:
     1..N-1, or with no ``m_abs`` all of 1..N-1, refused past
     ``ENUMERATION_CAP`` values before any is computed."""
     if m_abs is not None:
-        if not isinstance(m_abs, int) or isinstance(m_abs, bool) or not 1 <= m_abs <= N - 1:
+        if not is_integer(m_abs) or not 1 <= m_abs <= N - 1:
             raise ValueError(f"m_abs must be an integer in 1..N-1={N - 1}, got {m_abs!r}")
-        return [m_abs]
+        return [int(m_abs)]
     if N - 1 > ENUMERATION_CAP:
         raise ValueError(f"N - 1 = {N - 1} values of |m| exceed the limit {ENUMERATION_CAP}")
     return range(1, N)
@@ -480,7 +481,7 @@ def threshold(
         p_th1=p1,
         p_th2=p2,
         separable_region=region,
-        m_abs=m_abs,
+        m_abs=int(m_abs),
         window=window,
     )
 

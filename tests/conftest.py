@@ -1,6 +1,8 @@
+from functools import reduce
+
 import numpy as np
 
-from causal_sep.config_calculus import check_dims
+from causal_sep.config_calculus import check_dims, orthogonal_partners
 from causal_sep.density import (
     DensityMatrix,
     PartySubset,
@@ -9,7 +11,7 @@ from causal_sep.density import (
     _from_pairs,
     _header,
     config_to_index,
-    matrix_chunks,
+    matrix_to_payload,
     partial_transpose,
 )
 
@@ -21,19 +23,46 @@ def random_hermitian(D, N, rng, scale=1.0):
     return DensityMatrix(D=D, N=N, matrix=scale * (raw + raw.conj().T) / 2, normalized=False)
 
 
-def random_state(D, N, rng):
-    """Random PSD unit-trace matrix (a proper density matrix)."""
+def random_state(D, N, rng, rank=None):
+    """Random PSD unit-trace matrix (a proper density matrix), of full rank
+    or of the given rank."""
     dim = D**N
-    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    shape = (dim, rank or dim)
+    raw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     psd = raw @ raw.conj().T
     return DensityMatrix(D=D, N=N, matrix=psd / np.trace(psd).real, normalized=True)
 
 
+def random_product_mixture(D, N, rng, terms=1):
+    """A mixture of ``terms`` Haar-random pure product states with Dirichlet
+    weights: separable, so its partial transpose is PSD on every cut."""
+    arr = np.zeros((D**N, D**N), dtype=np.complex128)
+    for weight in rng.dirichlet(np.ones(terms)):
+        sites = rng.normal(size=(N, D)) + 1j * rng.normal(size=(N, D))
+        psi = reduce(np.kron, sites / np.linalg.norm(sites, axis=1, keepdims=True))
+        arr += weight * np.outer(psi, psi.conj())
+    return DensityMatrix(D=D, N=N, matrix=arr, normalized=True)
+
+
 def save_matrix(rho, path):
     """Write ``rho`` as a matrix file, as ``ec build --out`` writes one."""
-    chunks = matrix_chunks(rho)  # before open: a refused matrix leaves the file as it was
+    chunks = matrix_to_payload(rho)  # before open: a refused matrix leaves the file as it was
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(chunks)
+
+
+def matrix_to_dict(rho):
+    """Oracle: the matrix file's object with the entries as nested [re, im]
+    lists; ``json.dumps(..., separators=(",", ":"))`` of it and a newline is
+    the text ``matrix_to_payload`` writes."""
+    entries = np.ascontiguousarray(rho.matrix).view(np.float64).reshape(-1, 2).tolist()
+    return {"D": rho.D, "N": rho.N, "normalized": rho.normalized, "entries": entries}
+
+
+def partner_tuples(c, D, mode):
+    """The partner family of the one configuration c, from
+    ``orthogonal_partners``, as a list of label tuples."""
+    return [tuple(q) for q in orthogonal_partners(np.array([c]), D, mode)[:, 0].tolist()]
 
 
 def payload_to_matrix(payload, *, origin="<payload>"):

@@ -20,7 +20,6 @@ from causal_sep.criterion import CriterionReport, classify
 from causal_sep.density import (
     DensityMatrix,
     PartySubset,
-    matrix_to_payload,
     partial_transpose,
 )
 from causal_sep.ec_family import (
@@ -36,7 +35,14 @@ from causal_sep.ec_family import (
 from causal_sep.config_calculus import CouplingMode
 from causal_sep.ppt import PPT_TOL
 
-from conftest import bell_state, maximally_mixed, random_state, run_cli, save_matrix
+from conftest import (
+    bell_state,
+    matrix_to_dict,
+    maximally_mixed,
+    random_state,
+    run_cli,
+    save_matrix,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +523,7 @@ def test_build_writes_the_save_matrix_bytes(tmp_path, capsys, monkeypatch, varia
     rho = build_ec_matrix(prm)
     save_matrix(rho, str(saved))
     assert built.read_bytes() == saved.read_bytes()
-    want = json.dumps(matrix_to_payload(rho), separators=(",", ":")) + "\n"
+    want = json.dumps(matrix_to_dict(rho), separators=(",", ":")) + "\n"
     assert saved.read_bytes().decode() == run_cli(argv, capsys)[1] == want
 
 

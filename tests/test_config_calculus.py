@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import is_completely_orthogonal, payload_to_matrix
+from conftest import is_completely_orthogonal, partner_tuples, payload_to_matrix
 from causal_sep.config_calculus import (
     ConfigCensus,
     CouplingMode,
@@ -79,6 +79,9 @@ _DIMENSION_ENTRY_POINTS = {
     "renormalized_threshold.N": (lambda v: renormalized_threshold(1.0, 1, v, 2, 1.0), "N", 0, ValueError),
     "count_configurations.D": (lambda v: count_configurations(v, 2, FREE), "D", 0, ValueError),
     "count_configurations.N": (lambda v: count_configurations(2, v, FREE), "N", 0, ValueError),
+    "orthogonal_partners.D": (
+        lambda v: orthogonal_partners(np.zeros((1, 2), dtype=int), v, FREE), "D", 0, ValueError,
+    ),
     "payload_to_matrix.D": (
         lambda v: payload_to_matrix({"D": v, "N": 1, "normalized": True, "entries": []}),
         "D", 0, MatrixFormatError,
@@ -108,23 +111,23 @@ def test_completely_orthogonal():
 
 
 def test_partners_free():
-    assert orthogonal_partners((0, 0), 2, FREE) == [(1, 1)]
-    assert orthogonal_partners((0, 0), 3, FREE) == [(1, 1), (1, 2), (2, 1), (2, 2)]
-    partners = orthogonal_partners((0, 1, 2), 3, FREE)
+    assert partner_tuples((0, 0), 2, FREE) == [(1, 1)]
+    assert partner_tuples((0, 0), 3, FREE) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+    partners = partner_tuples((0, 1, 2), 3, FREE)
     assert len(partners) == 8
     assert all(is_completely_orthogonal((0, 1, 2), l) for l in partners)
     assert partners == sorted(partners)
 
 
 def test_partners_coupled():
-    assert orthogonal_partners((0, 0), 3, COUPLED) == [(1, 1), (2, 2)]
-    assert orthogonal_partners((0, 1), 3, COUPLED) == [(1, 2), (2, 0)]
-    assert orthogonal_partners((0, 0), 2, COUPLED) == [(1, 1)]
+    assert partner_tuples((0, 0), 3, COUPLED) == [(1, 1), (2, 2)]
+    assert partner_tuples((0, 1), 3, COUPLED) == [(1, 2), (2, 0)]
+    assert partner_tuples((0, 0), 2, COUPLED) == [(1, 1)]
 
 
 def test_partners_validation():
-    with pytest.raises(ValueError):
-        orthogonal_partners((0, 3), 3, FREE)
+    with pytest.raises(ValueError, match=re.escape("label 3 is not an integer in 0..2")):
+        partner_tuples((0, 3), 3, FREE)
 
 
 @pytest.mark.parametrize(
@@ -209,11 +212,40 @@ def test_count_rejects_counts_beyond_the_integer_string_limit():
             count_configurations(D, N, COUPLED)
 
 
-@pytest.mark.parametrize("bad", [(0.5, 1), (0, 1.0), (True, 1), ("1", 0), (np.float64(0), 1)])
-def test_orthogonal_partners_take_integer_labels_only(bad):
-    # a numpy integer, as read from a label array, is a label; a float, a
-    # bool or a string is not one, and used to be cut or compared silently
-    labels = (np.int64(0), np.int64(1))
-    assert orthogonal_partners(labels, 2, FREE) == orthogonal_partners((0, 1), 2, FREE)
-    with pytest.raises(ValueError, match="out of range for D=2"):
-        orthogonal_partners(bad, 2, FREE)
+@pytest.mark.parametrize("labels, named", [
+    ([[0, 1], [1, 2]], "2"),
+    ([[0, 1], [-1, 0]], "-1"),
+    ([[0.0, 1.0]], "0.0"),
+    ([[0.5, 1.0]], "0.5"),
+    ([[True, False]], "True"),
+    ([["1", "0"]], "'1'"),
+    ([[np.nan, 0.0]], "nan"),
+], ids=["at-D", "negative", "integral-float", "float", "bool", "string", "nan"])
+def test_orthogonal_partners_take_integer_labels_only(labels, named):
+    # a label array that is not of an integer dtype is refused whole, even
+    # where its values are integral: a cast to int64 would cut 0.5 to 0
+    for mode in (FREE, COUPLED):
+        with pytest.raises(ValueError, match=re.escape(f"label {named} is not an integer in 0..1")):
+            orthogonal_partners(np.array(labels), 2, mode)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint8, np.uint64])
+def test_orthogonal_partners_take_any_integer_dtype(dtype):
+    configs = config_labels(3, 3)
+    for mode in (FREE, COUPLED):
+        got = orthogonal_partners(configs.astype(dtype), 3, mode)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, orthogonal_partners(configs, 3, mode))
+
+
+@pytest.mark.parametrize("configs, D, message", [
+    (np.zeros((1, 2), dtype=int), np.int64(2), "expected an integer D >= 1, got D=np.int64(2)"),
+    (np.zeros((1, 0), dtype=int), 2, "expected an integer N >= 1, got N=0"),
+    (np.zeros(2, dtype=int), 2, "expected a (J, N) label array, got shape (2,)"),
+    (np.zeros((1, 1, 2), dtype=int), 2, "expected a (J, N) label array, got shape (1, 1, 2)"),
+], ids=["D-numpy", "N-zero", "one-axis", "three-axes"])
+def test_orthogonal_partners_check_the_label_array_shape(configs, D, message):
+    # D and N go through check_dims (D also in _DIMENSION_ENTRY_POINTS); N is
+    # the label array's second axis
+    with pytest.raises(ValueError, match=re.escape(message)):
+        orthogonal_partners(configs, D, FREE)

@@ -11,6 +11,7 @@ from conftest import (
     ghz_mixture,
     maximally_mixed,
     random_hermitian,
+    random_product_mixture,
     random_state,
 )
 from causal_sep.config_calculus import CouplingMode
@@ -248,6 +249,18 @@ def test_coupled_mode_reads_a_qutrit_product_state_entangled():
     assert coupled.overall is OverallVerdict.ENTANGLED
     assert coupled.W.min() == pytest.approx(-2 / 81, abs=1e-15)
     assert ppt_check(rho, S0).verdict is PptOutcome.PPT_SEPARABLE_CONSISTENT
+
+
+@pytest.mark.parametrize("D", [3, 4])
+def test_coupled_mode_reads_random_pure_product_states_entangled(D):
+    # Haar-random pure product states on two sites of D >= 3 levels: coupled
+    # mode reads every one entangled, free mode none.  A regression record of
+    # the code, not a target
+    rng = np.random.default_rng(20261020 + D)
+    for _ in range(20):
+        rho = random_product_mixture(D, 2, rng)
+        assert classify(rho, COUPLED).overall is OverallVerdict.ENTANGLED
+        assert classify(rho, FREE).overall is OverallVerdict.SEPARABLE_BY_CRITERION
 
 
 @pytest.mark.parametrize("N", range(2, 7))

@@ -13,6 +13,7 @@ from conftest import (
     bell_state,
     complement,
     element,
+    matrix_to_dict,
     maximally_mixed,
     payload_to_matrix,
     random_hermitian,
@@ -497,8 +498,10 @@ def test_bell_state_kinds():
 
 
 def test_matrix_payload_shape():
-    payload = matrix_to_payload(maximally_mixed(2, 1))
-    assert payload["entries"] == [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
+    rho = maximally_mixed(2, 1)
+    assert matrix_to_dict(rho)["entries"] == [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
+    text = '{"D":2,"N":1,"normalized":true,"entries":[[0.5,0.0],[0.0,0.0],[0.0,0.0],[0.5,0.0]]}\n'
+    assert "".join(matrix_to_payload(rho)) == text
 
 
 # ---------------------------------------------------------------------------
@@ -942,15 +945,15 @@ def test_matrix_json_equals_json_dumps(D, N):
     rho = random_hermitian(D, N, rng, scale=10.0 ** rng.integers(-300, 300))
     ec = build_ec_matrix(ECParams(ECClass.A, Mixing.STRONG, CouplingMode.N_FREE, D, max(N, 2), 0.3 + 0.4j))
     for m in (rho, ec, maximally_mixed(D, N)):
-        want = json.dumps(matrix_to_payload(m), separators=(",", ":")) + "\n"
-        assert "".join(density.matrix_chunks(m)) == want
+        want = json.dumps(matrix_to_dict(m), separators=(",", ":")) + "\n"
+        assert "".join(density.matrix_to_payload(m)) == want
 
 
-def test_matrix_chunks_are_whole_write_chunks(monkeypatch):
+def test_matrix_to_payload_writes_whole_chunks(monkeypatch):
     monkeypatch.setattr(density, "WRITE_CHUNK", 6)  # three pairs per chunk
     rho = maximally_mixed(2, 2)  # 16 pairs: five full chunks and one of a pair
-    chunks = list(density.matrix_chunks(rho))
-    assert "".join(chunks) == json.dumps(matrix_to_payload(rho), separators=(",", ":")) + "\n"
+    chunks = list(density.matrix_to_payload(rho))
+    assert "".join(chunks) == json.dumps(matrix_to_dict(rho), separators=(",", ":")) + "\n"
     entries = [c for c in chunks[1:-1] if c != "],["]
     assert [c.count(",") for c in entries] == [5] * 5 + [1]
 
@@ -982,18 +985,18 @@ def test_float_texts_equals_repr_on_random_bit_patterns():
         assert float_texts(y) == list(map(repr, y.tolist()))
 
 
-def test_matrix_chunks_keep_signed_zeros_apart(monkeypatch):
+def test_matrix_to_payload_keeps_signed_zeros_apart(monkeypatch):
     monkeypatch.setattr(density, "WRITE_CHUNK", 8)  # four pairs per chunk
     # the first chunk holds 0.0 and -0.0: equal as floats, written apart
     m = np.array([[0.5, complex(0.0, -0.0)], [complex(-0.0, 0.0), 0.5]])
     rho = DensityMatrix(D=2, N=1, matrix=m, normalized=True)
-    want = json.dumps(matrix_to_payload(rho), separators=(",", ":")) + "\n"
+    want = json.dumps(matrix_to_dict(rho), separators=(",", ":")) + "\n"
     assert want == '{"D":2,"N":1,"normalized":true,"entries":[[0.5,0.0],[0.0,-0.0],[-0.0,0.0],[0.5,0.0]]}\n'
-    assert "".join(density.matrix_chunks(rho)) == want
+    assert "".join(density.matrix_to_payload(rho)) == want
 
 
 @pytest.mark.parametrize("write_chunk", [6, 8, density.WRITE_CHUNK])
-def test_matrix_chunks_write_zero_runs_as_json_does(monkeypatch, write_chunk):
+def test_matrix_to_payload_writes_zero_runs_as_json_does(monkeypatch, write_chunk):
     # runs of (+0.0, +0.0) pairs across chunk edges, whole chunks of them, and
     # pairs with a -0.0 or a subnormal next to them, each in its own text
     monkeypatch.setattr(density, "WRITE_CHUNK", write_chunk)
@@ -1004,8 +1007,8 @@ def test_matrix_chunks_write_zero_runs_as_json_does(monkeypatch, write_chunk):
     m[4, 4] = complex(-0.0, -0.0)
     texts = []
     for rho in (DensityMatrix(2, 3, m), DensityMatrix(2, 3, np.zeros((8, 8)), normalized=False)):
-        texts.append("".join(density.matrix_chunks(rho)))
-        assert texts[-1] == json.dumps(matrix_to_payload(rho), separators=(",", ":")) + "\n"
+        texts.append("".join(density.matrix_to_payload(rho)))
+        assert texts[-1] == json.dumps(matrix_to_dict(rho), separators=(",", ":")) + "\n"
     for pair in ("[-0.0,0.0]", "[0.0,-0.0]", "[0.0,5e-324]", "[0.0,-5e-324]", "[-0.0,-0.0]"):
         assert pair in texts[0]
 
@@ -1014,7 +1017,7 @@ def test_save_rejects_non_finite_entries(tmp_path):
     arr = np.array([[np.inf, 0.0], [0.0, 0.5]], dtype=complex)
     rho = DensityMatrix._adopt(2, 1, arr, False, hermitian=True)
     with pytest.raises(ValueError, match="matrix entries must be finite"):
-        density.matrix_chunks(rho)  # before the first chunk is asked for
+        density.matrix_to_payload(rho)  # before the first chunk is asked for
     path = tmp_path / "m.json"
     path.write_text("kept")
     with pytest.raises(ValueError, match="matrix entries must be finite"):

@@ -248,6 +248,19 @@ def test_closed_form_b_needs_m():
         closed_form_W(params(ec_class=B, p=0.3), m_j=2, m=2)  # |m| > N-1
 
 
+def test_closed_form_b_takes_numpy_integers_and_refuses_bools():
+    # config_calculus.is_integer is the one integer test: a numpy integer
+    # gives the Python integer's value, and a bool, which isinstance(x, int)
+    # takes as 1, is refused
+    prm = params(ec_class=B, D=3, N=3, p=0.3)
+    for m_j, m in ((2, -1), (3, 2), (1, 1)):
+        want = closed_form_W(prm, m_j=m_j, m=m)
+        assert closed_form_W(prm, m_j=np.int64(m_j), m=np.int32(m)) == want
+    for m_j, m in ((True, 1), (2, True), (np.bool_(True), 1), (2, np.bool_(True))):
+        with pytest.raises(ValueError, match="must be .*integer"):
+            closed_form_W(prm, m_j=m_j, m=m)
+
+
 def test_closed_form_b_values():
     # D=2: bracket constant is 1, so W = pref * (1 - ((1-p)/p)^{-2m})
     p = 0.25
@@ -348,6 +361,20 @@ def test_threshold_b_qubit_collapse_exact():
                     assert th.p_th1 == 0.5
                     assert th.p_th2 == 0.5
                     assert th.window == (0.5, 0.5)
+
+
+def test_threshold_b_takes_a_numpy_integer_m_abs():
+    # PartySubset and the closed forms take numpy integers; m_abs too, stored
+    # as the Python integer.  A bool is refused
+    for mixing in (WEAK, STRONG):
+        for coupling in (FREE, COUPLED):
+            want = threshold(B, mixing, coupling, 4, 5, 2)
+            got = threshold(B, mixing, coupling, 4, 5, np.int64(2))
+            assert got == want and type(got.m_abs) is int
+    assert m_abs_values(5, np.uint8(3)) == [3]
+    for bad in (True, np.bool_(True)):
+        with pytest.raises(ValueError, match=r"m_abs must be an integer in 1\.\.N-1=4"):
+            threshold(B, WEAK, FREE, 3, 5, bad)
 
 
 def test_threshold_b_requires_m_abs():

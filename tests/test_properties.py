@@ -11,11 +11,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from causal_sep.config_calculus import (
     CouplingMode,
+    config_labels,
     count_configurations,
     orthogonal_partners,
     partition_distinct,
 )
-from causal_sep.criterion import OverallVerdict, causal_W, classify
+from causal_sep.criterion import W_TOL, OverallVerdict, causal_W, classify
 from causal_sep import density
 from causal_sep.ec_family import ECClass, ECParams, all_variants, build_ec_matrix, ec_operator
 from causal_sep.ppt import PptOutcome, ppt_check
@@ -26,7 +27,6 @@ from causal_sep.density import (
     config_to_index,
     hermitian_eigenvalues,
     load_matrix,
-    matrix_chunks,
     matrix_to_payload,
     partial_transpose,
 )
@@ -34,8 +34,11 @@ from causal_sep.density import (
 from conftest import (
     complement,
     is_completely_orthogonal,
+    matrix_to_dict,
+    partner_tuples,
     payload_to_matrix,
     random_hermitian,
+    random_product_mixture,
     random_state,
     save_matrix,
     transpose_parties,
@@ -81,15 +84,28 @@ def test_complete_orthogonality_symmetric_irreflexive(D, N, seed):
 def test_partner_sets(dims, seed, mode):
     D, N = dims
     c = _config(np.random.default_rng(seed), D, N)
-    partners = orthogonal_partners(c, D, mode)
+    partners = partner_tuples(c, D, mode)
     expected = (D - 1) ** N if mode is FREE else D - 1
     assert len(partners) == expected
     assert len(set(partners)) == len(partners)
     assert partners == sorted(partners)
     assert all(is_completely_orthogonal(c, q) for q in partners)
     if mode is COUPLED:
-        assert set(partners) <= set(orthogonal_partners(c, D, FREE))
+        assert set(partners) <= set(partner_tuples(c, D, FREE))
     assert partners == _partners(c, D, mode)
+
+
+@pytest.mark.parametrize("mode", [FREE, COUPLED], ids=["free", "coupled"])
+@pytest.mark.parametrize("D, N", [(1, 2), (2, 1), (2, 2), (2, 5), (3, 1), (3, 3), (4, 2), (5, 3)])
+def test_orthogonal_partners_match_the_definition_on_every_configuration(D, N, mode):
+    # one call for all D^N configurations: a (P, J, N) array whose column k
+    # is configuration k's family, sorted, as the per-configuration definition
+    configs = config_labels(D, N)
+    partners = orthogonal_partners(configs, D, mode)
+    assert partners.shape == ((D - 1) ** N if mode is FREE else D - 1, D**N, N)
+    assert partners.dtype == np.int64
+    for k, c in enumerate(map(tuple, configs.tolist())):
+        assert list(map(tuple, partners[:, k].tolist())) == _partners(c, D, mode)
 
 
 @settings(deadline=None)
@@ -228,6 +244,27 @@ def test_criterion_entangled_two_qubit_states_are_npt(values):
     rho = two_qubit_state(values)
     if any(classify(rho, mode).overall is OverallVerdict.ENTANGLED for mode in (FREE, COUPLED)):
         assert ppt_check(rho, PartySubset((0,), 2)).verdict is PptOutcome.NPT_ENTANGLED
+
+
+@pytest.mark.parametrize("D, N", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3)])
+def test_free_mode_entangled_cuts_are_npt(D, N):
+    # soundness of free mode on every cut, at every D: its shifts are among
+    # the completely orthogonal partners, so a PSD rho^{T_S} (each 2x2 minor
+    # >= 0) gives W(j, S) >= 0, and W < -W_TOL needs a minimum eigenvalue
+    # below -W_TOL/(D-1).  Low-rank states leave many cuts NPT; mixtures of
+    # product states are PPT on every cut.  A counterexample is a defect in
+    # the criterion, not a bound to loosen
+    rng = np.random.default_rng(D * 10 + N)
+    states = [random_state(D, N, rng, rank) for rank in (1, 2) * 10]
+    states += [random_product_mixture(D, N, rng, terms) for terms in (1, 2) * 5]
+    entangled_cuts = 0
+    for rho in states:
+        report = classify(rho, FREE)
+        for k, subset in enumerate(report.subsets):
+            if report.W[:, k].min() < -W_TOL:
+                entangled_cuts += 1
+                assert hermitian_eigenvalues(rho, subset)[0] < -W_TOL / (D - 1), subset
+    assert entangled_cuts > 0  # the property was exercised
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +434,8 @@ def test_sparse_matrix_text_is_json(dims, seed, zero_share, write_chunk, slice_b
     saved = density.WRITE_CHUNK, density.PARSE_SLICE_BYTES
     density.WRITE_CHUNK, density.PARSE_SLICE_BYTES = write_chunk, slice_bytes
     try:
-        text = "".join(matrix_chunks(rho))
-        assert text == json.dumps(matrix_to_payload(rho), separators=(",", ":")) + "\n"
+        text = "".join(matrix_to_payload(rho))
+        assert text == json.dumps(matrix_to_dict(rho), separators=(",", ":")) + "\n"
         with tempfile.TemporaryDirectory() as td:
             path = os.path.join(td, "matrix.json")
             for spelling in (text, text.replace("],[", "], ["), text.replace(",", ", ")):
