@@ -42,6 +42,7 @@ from .ec_family import (
     ECClass,
     ECParams,
     Mixing,
+    ThresholdResult,
     a_root,
     all_variants,
     b_roots,
@@ -57,7 +58,7 @@ from .ec_family import (
     threshold,
     variant_name,
 )
-from .ppt import PPT_TOL, any_npt, ppt_check, ppt_report
+from .ppt import PptOutcome, ppt_check, ppt_outcome, ppt_report
 
 SCHEMA = "causal-sep/1"
 # Rows per piece of a CSV table, and configurations per batch of classify's scores
@@ -289,16 +290,12 @@ def _variant(args) -> Variant:
     return ECClass(args.ec_class), Mixing(args.mixing), CouplingMode(args.coupling)
 
 
-def _params(variant: Variant, args, p: complex) -> ECParams:
-    return ECParams(*variant, D=args.D, N=args.N, p=p)
-
-
 def cmd_ec_build(args) -> Iterable[str]:
     variant = _variant(args)
-    params = _params(variant, args, args.p)
+    params = ECParams(*variant, D=args.D, N=args.N, p=args.p)
     rho = build_ec_matrix(params)
     min_eig = ec_min_eigenvalue(params)
-    psd = min_eig >= -PPT_TOL
+    psd = ppt_outcome(min_eig) is PptOutcome.PPT_SEPARABLE_CONSISTENT
     print(
         f"note: {variant_name(*variant)} D={params.D} N={params.N} p={args.p!r}: "
         f"trace = {rho.trace()!r}, normalized = {rho.normalized}, "
@@ -370,9 +367,24 @@ def _grid(args) -> list[float]:
         raise ValueError(f"--steps must be non-negative, got {args.steps}")
     if args.steps > ENUMERATION_CAP:
         raise ValueError(f"--steps {args.steps} exceeds the grid limit {ENUMERATION_CAP}")
+    for flag, value in (("--p-start", args.p_start), ("--p-end", args.p_end)):
+        if not np.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN point is ECParams' error
         grid = np.linspace(args.p_start, args.p_end, args.steps)
     return [float(p) for p in grid]
+
+
+def _grid_points(args, runs: str) -> tuple[Variant, ThresholdResult, Iterator[ECParams]]:
+    """The one entry of ``ec sweep`` and ``compare`` (``runs`` names them in
+    errors): the variant, its threshold, which checks D, N and --m-abs
+    before the grid, and each grid point's ECParams, made as it is read."""
+    variant = _variant(args)
+    if variant[0] is ECClass.B and args.m_abs is None:
+        raise ValueError(f"b-class {runs} need --m-abs")
+    th = threshold(*variant, args.D, args.N, args.m_abs)
+    grid = _grid(args)
+    return variant, th, (ECParams(*variant, D=args.D, N=args.N, p=complex(p)) for p in grid)
 
 
 def _b_closed_W_binding(params: ECParams, m_abs: int) -> float | None:
@@ -388,16 +400,13 @@ def _b_closed_W_binding(params: ECParams, m_abs: int) -> float | None:
 
 
 def cmd_ec_sweep(args) -> Iterable[str]:
-    variant = _variant(args)
+    variant, th, points = _grid_points(args, "sweeps")
     name = variant_name(*variant)
-    if variant[0] is ECClass.B and args.m_abs is None:
-        raise ValueError("b-class sweeps need --m-abs")
-    th = threshold(*variant, args.D, args.N, args.m_abs)
     subset = PartySubset((0,), args.N)
     j0 = (0,) * args.N
+    p_ths = th.p_th1, th.p_th2
     rows = []
-    for p in _grid(args):
-        params = _params(variant, args, complex(p))
+    for params in points:
         # the operator checks the dimension cap before any closed form runs,
         # and W_matrix is read from its site factors: no D^N x D^N matrix
         op = ec_operator(params)
@@ -405,11 +414,9 @@ def cmd_ec_sweep(args) -> Iterable[str]:
             w_closed = closed_form_W(params)
         else:
             w_closed = _b_closed_W_binding(params, args.m_abs)
-        verdict = classify_ec(params, args.m_abs)
+        verdict = classify_ec(params, args.m_abs).value
         w_matrix = causal_W(op, j0, subset, params.coupling).W
-        rows.append(
-            [name, args.D, args.N, p, w_closed, w_matrix, th.p_th1, th.p_th2, verdict.value]
-        )
+        rows.append([name, args.D, args.N, params.p_real, w_closed, w_matrix, *p_ths, verdict])
     header = ["variant", "D", "N", "p", "W_closed", "W_matrix", "p_th1", "p_th2", "verdict"]
     head = {"variant": name, "D": args.D, "N": args.N}
     return _payload(args, "ec-sweep", header, rows, "rows", head=head)
@@ -428,7 +435,7 @@ def cmd_ppt(args) -> Iterable[str]:
         checks = [ppt_check(rho, PartySubset(args.subset, rho.N))]
     else:
         checks = ppt_report(rho)
-    overall = "npt_entangled" if any_npt(checks) else "ppt_separable_consistent"
+    overall = ppt_outcome(min(v.min_eigenvalue for v in checks)).value
     rows = [[v.subset.members, v.min_eigenvalue, v.verdict.value, v.conclusive] for v in checks]
     return _payload(
         args, "ppt", ["subset", "min_eigenvalue", "verdict", "conclusive"], rows, "checks",
@@ -437,21 +444,14 @@ def cmd_ppt(args) -> Iterable[str]:
 
 
 def cmd_compare(args) -> Iterable[str]:
-    variant = _variant(args)
-    if variant[0] is ECClass.B:
-        if args.m_abs is None:
-            raise ValueError("b-class comparisons need --m-abs")
-        threshold(*variant, args.D, args.N, args.m_abs)  # checks the range of --m-abs
+    variant, _, points = _grid_points(args, "comparisons")
     name = variant_name(*variant)
-    mode = variant[2]
     rows = []
-    disagreements = 0
     causal = None
-    for p in _grid(args):
-        params = _params(variant, args, complex(p))
+    for params in points:
         tr = ec_operator(params).trace()  # the dense matrix's, bit for bit
         if tr <= 1e-300:
-            raise ValueError(f"matrix trace vanishes at p={p!r}; shrink the p range")
+            raise ValueError(f"matrix trace vanishes at p={params.p_real!r}; shrink the p range")
         # class b: rho / trace is the same matrix at every p (see ec_family),
         # so it is built and classified at the first p only
         if causal is None or variant[0] is ECClass.A:
@@ -459,16 +459,14 @@ def cmd_compare(args) -> Iterable[str]:
             if not rho.normalized:
                 # dividing by a real scalar keeps the matrix exactly Hermitian
                 rho = DensityMatrix._adopt(rho.D, rho.N, rho.matrix / tr, True, hermitian=True)
-            causal = classify(rho, mode).overall
+            causal = classify(rho, params.coupling).overall
         # a partial transpose keeps an EC matrix's spectrum, so every cut is
         # NPT exactly when the normalized matrix has a negative eigenvalue
-        npt = ec_min_eigenvalue(params) / tr < -PPT_TOL
-        ppt_side = "npt_entangled" if npt else "ppt_separable_consistent"
-        agree = (causal is OverallVerdict.ENTANGLED) == npt
-        if not agree:
-            disagreements += 1
-        rows.append([name, args.D, args.N, p, causal.value, ppt_side, agree])
+        ppt_side = ppt_outcome(ec_min_eigenvalue(params) / tr)
+        agree = (causal is OverallVerdict.ENTANGLED) == (ppt_side is PptOutcome.NPT_ENTANGLED)
+        rows.append([name, args.D, args.N, params.p_real, causal.value, ppt_side.value, agree])
     header = ["variant", "D", "N", "p", "causal", "ppt", "agree"]
+    disagreements = sum(not row[-1] for row in rows)
     head = {"variant": name, "D": args.D, "N": args.N, "disagreements": disagreements}
     return _payload(args, "compare", header, rows, "rows", head=head)
 

@@ -5,9 +5,10 @@ any split; positivity certifies separability only where PPT is sufficient
 (2x2, i.e. D=2 N=2, and the 2x3 case which cannot arise here with equal
 local dimensions).  The verdict names keep that one-sidedness explicit:
 PPT_SEPARABLE_CONSISTENT is a consistency statement, not a proof, except
-where ``conclusive`` is set, which holds only for a PSD state.  On the EC
-family a partial transpose keeps rho's spectrum (for real p it is rho
-itself), so there NPT means that rho has a negative eigenvalue, which
+where ``conclusive`` is set, which holds only for a PSD state.
+``ppt_outcome`` is the one rule behind every verdict and ``conclusive``.
+On the EC family a partial transpose keeps rho's spectrum (for real p it is
+rho itself), so there NPT means that rho has a negative eigenvalue, which
 ``ec_family.ec_min_eigenvalue`` gives in closed form; ``compare`` reads it
 from there.  ``ppt`` takes the spectrum of any matrix's partial transpose
 from ``density.hermitian_eigenvalues(rho, subset)``, one connected block at
@@ -46,24 +47,23 @@ class PptVerdict:
     conclusive: bool
 
 
+def ppt_outcome(eigenvalue: float) -> PptOutcome:
+    """The PPT rule: NPT_ENTANGLED when a least eigenvalue lies below -PPT_TOL."""
+    if eigenvalue < -PPT_TOL:
+        return PptOutcome.NPT_ENTANGLED
+    return PptOutcome.PPT_SEPARABLE_CONSISTENT
+
+
 def ppt_check(rho: DensityMatrix, subset: PartySubset) -> PptVerdict:
     """Eigenvalue test of the partial transpose over one party subset;
-    ``conclusive`` when D = N = 2 and rho itself is PSD within PPT_TOL."""
+    ``conclusive`` when D = N = 2 and rho itself is PSD by ``ppt_outcome``."""
     if not rho.normalized:
         raise ValueError("ppt_check expects a normalized density matrix")
-    spectrum = hermitian_eigenvalues(rho, subset)
-    min_eig = float(spectrum[0])
-    verdict = (
-        PptOutcome.NPT_ENTANGLED
-        if min_eig < -PPT_TOL
-        else PptOutcome.PPT_SEPARABLE_CONSISTENT
+    min_eig = float(hermitian_eigenvalues(rho, subset)[0])
+    conclusive = rho.D == rho.N == 2 and (
+        ppt_outcome(float(hermitian_eigenvalues(rho)[0])) is PptOutcome.PPT_SEPARABLE_CONSISTENT
     )
-    return PptVerdict(
-        subset=subset,
-        min_eigenvalue=min_eig,
-        verdict=verdict,
-        conclusive=rho.D == rho.N == 2 and float(hermitian_eigenvalues(rho)[0]) >= -PPT_TOL,
-    )
+    return PptVerdict(subset, min_eig, ppt_outcome(min_eig), conclusive)
 
 
 def ppt_report(rho: DensityMatrix) -> list[PptVerdict]:
@@ -74,8 +74,3 @@ def ppt_report(rho: DensityMatrix) -> list[PptVerdict]:
     """
     check_dims(None, rho.N, N_min=2)
     return [ppt_check(rho, subset) for subset in canonical_subsets(rho.N)]
-
-
-def any_npt(verdicts: list[PptVerdict]) -> bool:
-    return any(v.verdict is PptOutcome.NPT_ENTANGLED for v in verdicts)
-

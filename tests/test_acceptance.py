@@ -37,7 +37,7 @@ from causal_sep.ec_family import (
     ec_operator,
     threshold,
 )
-from causal_sep.ppt import any_npt, ppt_report
+from causal_sep.ppt import PptOutcome, ppt_report
 
 from conftest import (
     bell_state,
@@ -105,7 +105,9 @@ def test_criterion_2_two_qubit_agreement_with_ppt():
         causal_verdicts.append(
             classify(rho, FREE).overall is OverallVerdict.ENTANGLED
         )
-        ppt_verdicts.append(any_npt(ppt_report(rho)))
+        ppt_verdicts.append(
+            any(v.verdict is PptOutcome.NPT_ENTANGLED for v in ppt_report(rho))
+        )
     assert causal_verdicts == ppt_verdicts
     # a single boundary, sitting at the closed-form threshold p = 1/2
     flips = [
@@ -298,5 +300,5 @@ def test_criterion_8_canonical_states():
                 classify(mixed, FREE).overall
                 is OverallVerdict.SEPARABLE_BY_CRITERION
             )
-            assert not any_npt(ppt_report(mixed))
+            assert not any(v.verdict is PptOutcome.NPT_ENTANGLED for v in ppt_report(mixed))
     _done(8, "canonical entangled and separable states", t0, 5.0)

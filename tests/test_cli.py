@@ -391,6 +391,20 @@ def test_overflowing_grid_is_refused_without_a_warning(capsys, command):
     assert err == "error: class-a mixing parameter needs |p| <= 1, got |p| = nan\n"
 
 
+@pytest.mark.parametrize("command", [["ec", "sweep"], ["compare"]])
+@pytest.mark.parametrize("ec_class", ["a", "b"])
+@pytest.mark.parametrize("flag", ["--p-start", "--p-end"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_non_finite_grid_flag_is_named(capsys, command, ec_class, flag, value):
+    # the error names the flag, not a grid point the user never gave;
+    # "--p-start=-inf" keeps argparse from reading "-inf" as a flag
+    argv = command + [
+        "--class", ec_class, "--mixing", "weak", "--D", "2", "--N", "2", "--m-abs", "1",
+        "--steps", "2", f"{flag}={value}",
+    ]
+    assert run_cli(argv, capsys) == (1, "", f"error: {flag} must be finite, got {value}\n")
+
+
 def test_sweep_b_requires_m_abs(capsys):
     code, _, err = run_cli(
         [
@@ -946,7 +960,7 @@ def _compare_per_point(args):
     name = cli.variant_name(*variant)
     rows, disagreements = [], 0
     for p in cli._grid(args):
-        params = cli._params(variant, args, complex(p))
+        params = ECParams(*variant, D=args.D, N=args.N, p=complex(p))
         rho = build_ec_matrix(params)
         tr = rho.trace()
         if not rho.normalized:
@@ -1151,14 +1165,44 @@ _HUGE = "1" + "0" * 400  # 10^400, beyond the float range
           "--steps", "2"], "D"),
         (["compare", "--class", "b", "--mixing", "weak", "--D", _HUGE, "--N", "3",
           "--m-abs", "1", "--steps", "2"], "D"),
+        (["compare", "--class", "a", "--mixing", "weak", "--D", _HUGE, "--N", "3",
+          "--steps", "2"], "D"),
     ],
-    ids=["duality", "threshold-table", "threshold-a-D", "threshold-a-N", "sweep-a", "compare-b"],
+    ids=["duality", "threshold-table", "threshold-a-D", "threshold-a-N", "sweep-a", "compare-b",
+         "compare-a"],
 )
 def test_closed_forms_refuse_d_or_n_beyond_the_float_range(capsys, argv, name):
     code, out, err = run_cli(argv, capsys)
     assert code == 1
     assert out == ""
     assert err == f"error: {name} is beyond the float range of the closed forms\n"
+
+
+@pytest.mark.parametrize(
+    "command, runs", [(["ec", "sweep"], "sweeps"), (["compare"], "comparisons")]
+)
+@pytest.mark.parametrize(
+    "ec_class, flags, err",
+    [
+        ("b", ["--D", "3", "--N", "3"], "b-class {runs} need --m-abs"),
+        ("b", ["--D", "3", "--N", "3", "--m-abs", "3"],
+         "m_abs must be an integer in 1..N-1=2, got 3"),
+        ("a", ["--D", "2", "--N", "2", "--steps", "-1"], "--steps must be non-negative, got -1"),
+        ("a", ["--D", _HUGE, "--N", "2"], "D is beyond the float range of the closed forms"),
+        ("b", ["--D", _HUGE, "--N", "2", "--m-abs", "1"],
+         "D is beyond the float range of the closed forms"),
+        ("a", ["--D", "2", "--N", "1"], "expected an integer N >= 2, got N=1"),
+        # D and N are checked before the grid
+        ("a", ["--D", "2", "--N", "1", "--steps", "-1"], "expected an integer N >= 2, got N=1"),
+    ],
+    ids=["b-without-m-abs", "m-abs-out-of-range", "negative-steps", "a-D-beyond-floats",
+         "b-D-beyond-floats", "one-party", "one-party-before-steps"],
+)
+def test_grid_commands_share_one_entry(capsys, command, runs, ec_class, flags, err):
+    argv = command + ["--class", ec_class, "--mixing", "weak", *flags]
+    for fmt in ("json", "csv"):
+        got = run_cli(argv + ["--format", fmt], capsys)
+        assert got == (1, "", f"error: {err.format(runs=runs)}\n")
 
 
 def test_exact_commands_accept_d_beyond_the_float_range(capsys):

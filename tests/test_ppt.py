@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from causal_sep import cli, ppt
 from causal_sep.config_calculus import CouplingMode
 from causal_sep.criterion import OverallVerdict, classify
 from causal_sep.density import (
@@ -16,7 +17,7 @@ from causal_sep.density import (
     partial_transpose,
 )
 from causal_sep.ec_family import ECClass, ECParams, Mixing, all_variants, build_ec_matrix
-from causal_sep.ppt import PptOutcome, any_npt, ppt_check, ppt_report
+from causal_sep.ppt import PPT_TOL, PptOutcome, ppt_check, ppt_outcome, ppt_report
 
 from conftest import (
     bell_state,
@@ -173,7 +174,7 @@ def test_ec_strong_threshold_sides():
 def test_report_covers_canonical_subsets():
     report = ppt_report(maximally_mixed(2, 3))
     assert [v.subset.members for v in report] == [(0,), (0, 1), (0, 2)]
-    assert not any_npt(report)
+    assert not any(v.verdict is PptOutcome.NPT_ENTANGLED for v in report)
 
 
 @pytest.mark.parametrize("D, N", [(2, 0), (3, 0), (2, 1), (3, 1)])
@@ -296,7 +297,8 @@ def test_compare_ppt_column_equals_dense_report(capsys, D, N, variant):
         rho = build_ec_matrix(ECParams(*variant, D=D, N=N, p=complex(row["p"])))
         if not rho.normalized:
             rho = DensityMatrix(D=D, N=N, matrix=rho.matrix / rho.trace(), normalized=True)
-        dense = "npt_entangled" if any_npt(ppt_report(rho)) else "ppt_separable_consistent"
+        npt = any(v.verdict is PptOutcome.NPT_ENTANGLED for v in ppt_report(rho))
+        dense = "npt_entangled" if npt else "ppt_separable_consistent"
         assert row["ppt"] == dense, row["p"]
         if abs(hermitian_eigenvalues(rho)[0]) < 1e-9:
             near_zero.append(i)
@@ -304,3 +306,68 @@ def test_compare_ppt_column_equals_dense_report(capsys, D, N, variant):
     if ec_class is ECClass.B:
         # one matrix up to scale, so one pair of verdicts over the whole grid
         assert len({(row["causal"], row["ppt"]) for row in rows}) == 1
+
+
+# ---------------------------------------------------------------------------
+# the one PPT rule, ppt_outcome, and each verdict that reads it
+# ---------------------------------------------------------------------------
+
+# a least eigenvalue at -PPT_TOL is consistent; the next float below it is NPT
+RULE = [
+    (-PPT_TOL, PptOutcome.PPT_SEPARABLE_CONSISTENT),
+    (float(np.nextafter(-PPT_TOL, -np.inf)), PptOutcome.NPT_ENTANGLED),
+]
+
+
+@pytest.mark.parametrize("eigenvalue, outcome", RULE)
+def test_ppt_outcome_is_npt_only_below_the_tolerance(eigenvalue, outcome):
+    assert ppt_outcome(eigenvalue) is outcome
+
+
+@pytest.mark.parametrize("eigenvalue, outcome", RULE)
+def test_ppt_check_verdict_and_conclusive_follow_the_rule(monkeypatch, eigenvalue, outcome):
+    # the cut's spectrum and rho's own both start at ``eigenvalue``
+    spectrum = lambda rho, subset=None: np.array([eigenvalue, 0.5])
+    monkeypatch.setattr(ppt, "hermitian_eigenvalues", spectrum)
+    verdict = ppt_check(maximally_mixed(2, 2), S1)
+    assert verdict.min_eigenvalue == eigenvalue
+    assert verdict.verdict is outcome
+    assert verdict.conclusive is (outcome is PptOutcome.PPT_SEPARABLE_CONSISTENT)
+
+
+@pytest.mark.parametrize("eigenvalue, outcome", RULE)
+def test_ppt_overall_follows_the_rule(monkeypatch, capsys, tmp_path, eigenvalue, outcome):
+    # the least eigenvalue sits on the last cut only, so it alone decides overall
+    path = tmp_path / "mixed.json"
+    save_matrix(maximally_mixed(2, 3), path)
+    spectrum = lambda rho, subset: np.array([eigenvalue if subset.members == (0, 2) else 0.25])
+    monkeypatch.setattr(ppt, "hermitian_eigenvalues", spectrum)
+    code, out, _ = run_cli(["ppt", "--input", str(path)], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert [c["verdict"] for c in payload["checks"]][:2] == ["ppt_separable_consistent"] * 2
+    assert payload["checks"][2]["verdict"] == payload["overall"] == outcome.value
+
+
+@pytest.mark.parametrize("eigenvalue, outcome", RULE)
+def test_compare_ppt_column_follows_the_rule(monkeypatch, capsys, eigenvalue, outcome):
+    # at p = 0 the class-a trace is exactly 1, so the column reads ``eigenvalue``
+    monkeypatch.setattr(cli, "ec_min_eigenvalue", lambda params: eigenvalue)
+    argv = ["compare", "--class", "a", "--mixing", "weak", "--D", "2", "--N", "2",
+            "--steps", "1", "--p-end", "0"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert (row["p"], row["causal"]) == (0.0, "separable_by_criterion")
+    assert row["ppt"] == outcome.value
+    assert row["agree"] is (outcome is PptOutcome.PPT_SEPARABLE_CONSISTENT)
+
+
+@pytest.mark.parametrize("eigenvalue, outcome", RULE)
+def test_ec_build_note_follows_the_rule(monkeypatch, capsys, eigenvalue, outcome):
+    monkeypatch.setattr(cli, "ec_min_eigenvalue", lambda params: eigenvalue)
+    argv = ["ec", "build", "--class", "a", "--mixing", "weak", "--D", "2", "--N", "2", "--p", "0"]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 0
+    psd = "PSD" if outcome is PptOutcome.PPT_SEPARABLE_CONSISTENT else "not PSD"
+    assert err.endswith(f"min eigenvalue = {eigenvalue!r} ({psd})\n")
