@@ -43,9 +43,7 @@ from .ec_family import (
     ECParams,
     Mixing,
     ThresholdResult,
-    a_root,
     all_variants,
-    b_roots,
     build_ec_matrix,
     classify_ec,
     closed_form_W,
@@ -53,9 +51,8 @@ from .ec_family import (
     duality_residuals,
     ec_min_eigenvalue,
     ec_operator,
-    float_base,
-    m_abs_values,
     threshold,
+    threshold_rows,
     variant_name,
 )
 from .ppt import PptOutcome, ppt_check, ppt_outcome, ppt_report
@@ -290,33 +287,26 @@ def _variant(args) -> Variant:
     return ECClass(args.ec_class), Mixing(args.mixing), CouplingMode(args.coupling)
 
 
+def _ec_ppt_outcome(min_eig: float, trace: float) -> PptOutcome:
+    """The PPT rule on an EC matrix: a partial transpose keeps its spectrum, so
+    every cut is NPT exactly when the matrix over its trace has a negative
+    eigenvalue.  A zero trace is the zero matrix (class b at p = 1): PSD."""
+    return ppt_outcome(min_eig / trace if trace else min_eig)
+
+
 def cmd_ec_build(args) -> Iterable[str]:
     variant = _variant(args)
     params = ECParams(*variant, D=args.D, N=args.N, p=args.p)
     rho = build_ec_matrix(params)
-    min_eig = ec_min_eigenvalue(params)
-    psd = ppt_outcome(min_eig) is PptOutcome.PPT_SEPARABLE_CONSISTENT
+    trace, min_eig = rho.trace(), ec_min_eigenvalue(params)
+    psd = _ec_ppt_outcome(min_eig, trace) is PptOutcome.PPT_SEPARABLE_CONSISTENT
     print(
         f"note: {variant_name(*variant)} D={params.D} N={params.N} p={args.p!r}: "
-        f"trace = {rho.trace()!r}, normalized = {rho.normalized}, "
+        f"trace = {trace!r}, normalized = {rho.normalized}, "
         f"min eigenvalue = {min_eig!r} ({'PSD' if psd else 'not PSD'})",
         file=sys.stderr,
     )
     return matrix_to_payload(rho)
-
-
-def _threshold_rows(variant: Variant, D: int, N: int, m_abs: int | None) -> Iterable[list]:
-    """The variant's rows of the threshold table: the call raises any error
-    of the table, and the b-class rows are computed as they are read."""
-    ec_class, mixing, coupling = variant
-    name = variant_name(*variant)
-    x = float_base(D, N)
-    if ec_class is ECClass.A:
-        p_th = a_root(mixing, coupling, x, N)
-        return [[name, D, N, None, p_th, p_th]]
-    m_values = m_abs_values(N, m_abs)
-    roots = b_roots(mixing, coupling, x, N, m_values)
-    return ([name, D, N, m, *sorted(pair)] for m, pair in zip(m_values, roots))
 
 
 def cmd_ec_threshold(args) -> Iterable[str]:
@@ -333,12 +323,15 @@ def cmd_ec_threshold(args) -> Iterable[str]:
         raise ValueError("--mixing and --coupling are required alongside --class")
     else:
         variants = [_variant(args)]
-    # the CSV table has a row per variant and |m|; the JSON payload is one
-    # threshold in full
+    # the CSV table has a row per variant and |m|, every variant checked before
+    # the first row is written; the JSON payload is one threshold in full
     if args.format == "csv":
-        tables = [_threshold_rows(v, args.D, args.N, args.m_abs) for v in variants]
+        tables = [(variant_name(*v), threshold_rows(*v, args.D, args.N, args.m_abs))
+                  for v in variants]
+        rows = ([name, args.D, args.N, m, *sorted((lower, upper))]
+                for name, table in tables for m, lower, upper in table)
         header = ["variant", "D", "N", "m_abs", "p_th1", "p_th2"]
-        return _payload(args, "ec-threshold", header, chain.from_iterable(tables))
+        return _payload(args, "ec-threshold", header, rows)
 
     (variant,) = variants
     if variant[0] is ECClass.B and args.m_abs is None:
@@ -460,9 +453,7 @@ def cmd_compare(args) -> Iterable[str]:
                 # dividing by a real scalar keeps the matrix exactly Hermitian
                 rho = DensityMatrix._adopt(rho.D, rho.N, rho.matrix / tr, True, hermitian=True)
             causal = classify(rho, params.coupling).overall
-        # a partial transpose keeps an EC matrix's spectrum, so every cut is
-        # NPT exactly when the normalized matrix has a negative eigenvalue
-        ppt_side = ppt_outcome(ec_min_eigenvalue(params) / tr)
+        ppt_side = _ec_ppt_outcome(ec_min_eigenvalue(params), tr)
         agree = (causal is OverallVerdict.ENTANGLED) == (ppt_side is PptOutcome.NPT_ENTANGLED)
         rows.append([name, args.D, args.N, params.p_real, causal.value, ppt_side.value, agree])
     header = ["variant", "D", "N", "p", "causal", "ppt", "agree"]

@@ -396,23 +396,6 @@ def a_root(mixing: Mixing, coupling: CouplingMode, x: float, N: int) -> float:
     return _inv1p_exp(g * math.log(x))
 
 
-def b_roots(
-    mixing: Mixing, coupling: CouplingMode, x: float, N: int, m_values: Iterable[int]
-) -> Iterator[tuple[float, float]]:
-    """The class-b window roots (lower, upper) = 1/(1 + c**(-+1/(2|m|))),
-    c = x**e, for each |m| of ``m_values`` in turn, computed as they are read.
-
-    The lower root comes from the m = -|m| branch (p >= lower), the upper
-    from m = +|m| (p <= upper); exact 0.5 when x == 1.  Each root is one
-    ``math.exp``: ``np.exp`` differs from it in the last bit on some roots.
-    """
-    e = _b_bracket_exponent(mixing, coupling, N)
-    log_x = math.log(x)
-    for m in m_values:
-        t = e / (2.0 * m) * log_x
-        yield _inv1p_exp(-t), _inv1p_exp(t)
-
-
 def _b_bracket_exponent(mixing: Mixing, coupling: CouplingMode, N: int) -> int:
     if coupling is CouplingMode.N_FREE:
         return -(2 * N - 1) if mixing is Mixing.WEAK else 1
@@ -443,6 +426,33 @@ def m_abs_values(N: int, m_abs: int | None = None) -> Sequence[int]:
     return range(1, N)
 
 
+def threshold_rows(
+    ec_class: ECClass, mixing: Mixing, coupling: CouplingMode, D: int, N: int,
+    m_abs: int | None = None,
+) -> Iterable[tuple[int | None, float, float]]:
+    """The closed-form threshold rows (|m|, lower, upper) of one variant; the
+    call checks D and N, then (class b) m_abs, before any row is read.
+
+    Class a has one row, (None, p_th, p_th), whatever m_abs is.  Class b has
+    a row per |m| of ``m_abs_values(N, m_abs)``, computed as it is read: the
+    window roots 1/(1 + c**(-+1/(2|m|))), c = x**e, in branch order (p >=
+    lower from m = -|m|, p <= upper from m = +|m|), exact 0.5 when x == 1,
+    each one ``math.exp`` (``np.exp`` differs in the last bit on some roots).
+    """
+    x = float_base(D, N)
+    if ec_class is ECClass.A:
+        p_th = a_root(mixing, coupling, x, N)
+        return [(None, p_th, p_th)]
+    return _window_rows(_b_bracket_exponent(mixing, coupling, N), x, m_abs_values(N, m_abs))
+
+
+def _window_rows(e: int, x: float, m_values: Iterable[int]) -> Iterator[tuple[int, float, float]]:
+    log_x = math.log(x)
+    for m in m_values:
+        t = e / (2.0 * m) * log_x
+        yield m, _inv1p_exp(-t), _inv1p_exp(t)
+
+
 def threshold(
     ec_class: ECClass,
     mixing: Mixing,
@@ -456,18 +466,17 @@ def threshold(
     Class a yields a SINGLE threshold in |p| (m_abs is ignored).  Class b
     yields a WINDOW per |m| = m_abs in 1..N-1.
     """
-    x = float_base(D, N)
+    if ec_class is ECClass.B and m_abs is None:
+        float_base(D, N)  # D and N are refused before the missing m_abs
+        raise ValueError("b-class thresholds need m_abs (1 <= m_abs <= N-1)")
+    ((m, lower, upper),) = threshold_rows(ec_class, mixing, coupling, D, N, m_abs)
     if ec_class is ECClass.A:
-        v = a_root(mixing, coupling, x, N)
         return ThresholdResult(
             kind=ThresholdKind.SINGLE,
-            p_th1=v,
-            p_th2=v,
-            separable_region=f"0 <= |p| <= {v!r}",
+            p_th1=lower,
+            p_th2=upper,
+            separable_region=f"0 <= |p| <= {lower!r}",
         )
-    if m_abs is None:
-        raise ValueError("b-class thresholds need m_abs (1 <= m_abs <= N-1)")
-    ((lower, upper),) = b_roots(mixing, coupling, x, N, m_abs_values(N, m_abs))
     window = (lower, upper) if lower <= upper else None
     if window is None:
         region = "empty (entangled at every p)"
@@ -481,7 +490,7 @@ def threshold(
         p_th1=p1,
         p_th2=p2,
         separable_region=region,
-        m_abs=int(m_abs),
+        m_abs=m,
         window=window,
     )
 
@@ -516,16 +525,14 @@ def duality_residuals(D: int, N: int) -> tuple[float, float]:
     coupled-variant roots in exchanged order (th1 <-> th2), for every
     |m| = 1..N-1.  Both residuals are expected to vanish to 1e-14.
     """
-    x = float_base(D, N)
-    m_values = m_abs_values(N)
     r_a = r_b = 0.0
     for mix_free, mix_coupled in ((Mixing.WEAK, Mixing.STRONG), (Mixing.STRONG, Mixing.WEAK)):
-        lhs = a_root(mix_free, CouplingMode.N_FREE, x, N)
-        rhs = a_root(mix_coupled, CouplingMode.N_COUPLED, 1.0 / x, N)
+        ((_, lhs, _),) = threshold_rows(ECClass.A, mix_free, CouplingMode.N_FREE, D, N)
+        rhs = a_root(mix_coupled, CouplingMode.N_COUPLED, 1.0 / (D - 1), N)
         r_a = max(r_a, abs(lhs - rhs))
-        free = b_roots(mix_free, CouplingMode.N_FREE, x, N, m_values)
-        coupled = b_roots(mix_coupled, CouplingMode.N_COUPLED, x, N, m_values)
-        for (th1_f, th2_f), (th1_c, th2_c) in zip(free, coupled):
+        free = threshold_rows(ECClass.B, mix_free, CouplingMode.N_FREE, D, N)
+        coupled = threshold_rows(ECClass.B, mix_coupled, CouplingMode.N_COUPLED, D, N)
+        for (_, th1_f, th2_f), (_, th1_c, th2_c) in zip(free, coupled):
             r_b = max(r_b, abs(th1_f - th2_c), abs(th2_f - th1_c))
     return r_a, r_b
 

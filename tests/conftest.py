@@ -1,8 +1,9 @@
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 
-from causal_sep.config_calculus import check_dims, orthogonal_partners
+from causal_sep.config_calculus import CouplingMode, check_dims, orthogonal_partners
 from causal_sep.density import (
     DensityMatrix,
     PartySubset,
@@ -14,6 +15,7 @@ from causal_sep.density import (
     matrix_to_payload,
     partial_transpose,
 )
+from causal_sep.ec_family import ECClass, Mixing
 
 
 def random_hermitian(D, N, rng, scale=1.0):
@@ -75,6 +77,22 @@ def payload_to_matrix(payload, *, origin="<payload>"):
     for k, pair in enumerate(entries):
         _check_pair(k, pair, origin)
     return _from_pairs(np.array(entries, dtype=np.float64).reshape(-1), D, N, normalized, origin)
+
+
+def exact_closed_form_W(params):
+    """Oracle: the class-a closed form of ``ec_family.closed_form_W`` in
+    exact rational arithmetic, at |p| read as the Fraction the float is."""
+    if params.ec_class is not ECClass.A:
+        raise ValueError("the exact closed form covers class a only")
+    a, N, x = Fraction(params.p_abs), params.N, Fraction(params.D - 1)
+    weak = params.mixing is Mixing.WEAK
+    if params.coupling is CouplingMode.N_FREE:
+        if weak:
+            return a**N * ((1 - a) ** N - a**N / x ** (2 * N - 1))
+        return a**N * ((1 - a) ** N - x * a**N)
+    if weak:
+        return (a ** (2 * N) / x**N) * (x * (1 - a) ** N - a**N)
+    return a**N * ((1 - a) ** N / x ** (N - 1) - x**N * a**N)
 
 
 def run_cli(argv, capsys):

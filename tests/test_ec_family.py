@@ -8,7 +8,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from causal_sep.config_calculus import ENUMERATION_CAP, CouplingMode, check_dims
+from causal_sep.config_calculus import DIM_CAP, ENUMERATION_CAP, CouplingMode, check_dims
 from causal_sep import density, ec_family
 from causal_sep.criterion import causal_W
 from causal_sep.density import PartySubset, hermitian_eigenvalues
@@ -28,9 +28,12 @@ from causal_sep.ec_family import (
     ec_operator,
     m_abs_values,
     threshold,
+    threshold_rows,
+    variant_name,
 )
+from causal_sep.ppt import PPT_TOL
 
-from conftest import run_cli
+from conftest import exact_closed_form_W, run_cli
 
 FREE = CouplingMode.N_FREE
 COUPLED = CouplingMode.N_COUPLED
@@ -589,6 +592,28 @@ def test_threshold_roots_equal_the_logistic(D, N):
             assert th.window == ((lower, upper) if lower <= upper else None)
 
 
+def test_threshold_rows_check_at_the_call_and_compute_as_read():
+    # D and N are refused before m_abs, and both before any row is read
+    for args, message in (
+        ((3, 1, 0), "integer N >= 2"),
+        ((1, 3, 0), "integer D >= 2"),
+        ((3, 5, 5), r"m_abs must be an integer in 1\.\.N-1=4"),
+        ((3, ENUMERATION_CAP + 2, None), "values of \\|m\\| exceed the limit"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            threshold_rows(B, WEAK, FREE, *args)
+    # class a: one row whatever m_abs is
+    p_th = threshold(A, STRONG, COUPLED, 3, 4).p_th
+    for m_abs in (None, 0, 7):
+        assert list(threshold_rows(A, STRONG, COUPLED, 3, 4, m_abs)) == [(None, p_th, p_th)]
+    # class b: a row per |m| in turn, the roots in branch order
+    for mixing in (WEAK, STRONG):
+        rows = threshold_rows(B, mixing, FREE, 4, ENUMERATION_CAP + 1)
+        for m, (got_m, lower, upper) in zip(range(1, 4), rows):
+            th = threshold(B, mixing, FREE, 4, ENUMERATION_CAP + 1, m)
+            assert got_m == m and (lower, upper) == (th.window or (th.p_th2, th.p_th1))
+
+
 def test_duality_residuals_hold_no_array_over_m():
     duality_residuals(3, 5)  # one-time setup stays out of the peak
     tracemalloc.start()
@@ -849,3 +874,88 @@ def test_class_b_normalized_matrix_is_constant_in_p(D, N, mixing, coupling):
     assert np.ptp(W) <= 1e-14 * np.abs(W).max()
     assert len({_sign(w) for w in W}) == 1
     assert np.ptp(lambdas) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# class a: the PSD edge, and the thresholds against it
+# ---------------------------------------------------------------------------
+
+CLASS_A = [v for v in all_variants() if v[0] is A]
+
+
+def _psd_edge(mixing, D):
+    """|p| above which a class-a matrix is not PSD: its 2x2 blocks have
+    determinant (d0 du)^N - (c^2)^N, nonnegative exactly when d0 du >= c^2,
+    that is (1 - |p|)|p|/x >= |p|^2/x (weak) or |p|^2 x (strong), x = D - 1."""
+    return 0.5 if mixing is WEAK else 1 / (1 + (D - 1) ** 2)
+
+
+@pytest.mark.parametrize(
+    "D, N", [(D, N) for D in (2, 3, 4, 5, 7) for N in range(2, 13) if D**N <= DIM_CAP]
+)
+def test_class_a_is_npt_exactly_past_the_psd_edge(D, N):
+    # the rule compare's ppt column reads, at every point of its default grid
+    for _, mixing, coupling in CLASS_A:
+        edge = _psd_edge(mixing, D)
+        for p in np.linspace(0.0, 1.0, 101).tolist():
+            prm = params(A, mixing, coupling, D, N, p)
+            npt = ec_min_eigenvalue(prm) / ec_operator(prm).trace() < -PPT_TOL
+            assert npt is (p > edge), (mixing, coupling, p)
+
+
+def test_class_a_thresholds_lie_at_or_above_the_psd_edge():
+    # every exponent g of 1/(1 + x**g) is at most its edge's (0 weak, 2
+    # strong), so p_th >= edge, with equality at D = 2 (x = 1) for every N
+    for D in (2, 3, 4, 7, 10, 100, 10**4, 10**6):
+        for N in (2, 3, 5, 10, 100, 10**4):
+            for _, mixing, coupling in CLASS_A:
+                p_th, edge = threshold(A, mixing, coupling, D, N).p_th, _psd_edge(mixing, D)
+                assert p_th == edge if D == 2 else p_th >= edge, (D, N, mixing, coupling)
+
+
+# ---------------------------------------------------------------------------
+# class a: the float closed form against exact rational arithmetic
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("D, N", [(2, 10), (3, 7), (2, 50), (3, 50)])
+def test_closed_form_sign_is_exact_on_the_grid(D, N):
+    for _, mixing, coupling in CLASS_A:
+        for p in np.linspace(0.0, 1.0, 101).tolist():
+            prm = params(A, mixing, coupling, D, N, p)
+            got, want = closed_form_W(prm), exact_closed_form_W(prm)
+            assert _sign(got, 0) == _sign(want, 0), (mixing, coupling, p)
+
+
+def test_closed_form_underflow_at_n_500_is_recorded():
+    # a record, not a target: at (2,500) the float closed form underflows
+    # to 0.0 at these many grid points where the exact W is not zero
+    lost = {}
+    for _, mixing, coupling in CLASS_A:
+        lost[variant_name(A, mixing, coupling)] = sum(
+            closed_form_W(prm) == 0.0 and exact_closed_form_W(prm) != 0
+            for prm in (params(A, mixing, coupling, 2, 500, float(p))
+                        for p in np.linspace(0.0, 1.0, 101))
+        )
+    assert lost == {"a-weak-free": 34, "a-weak-coupled": 59,
+                    "a-strong-free": 34, "a-strong-coupled": 34}
+
+
+# ---------------------------------------------------------------------------
+# where classify's overall verdict departs from the closed form
+# ---------------------------------------------------------------------------
+
+def test_overall_verdict_departs_from_the_closed_form_at_3_3(capsys):
+    # a record, not a target: the closed form is the sign of W at j = 0...0,
+    # S = {0}; compare's causal column is classify's minimum over every
+    # distinct j and cut, which j = (0,1,1) makes negative at p = 0.44
+    argv = ["--class", "a", "--mixing", "strong", "--coupling", "free", "--D", "3",
+            "--N", "3", "--p-start", "0.44", "--p-end", "0.44", "--steps", "1"]
+    code, out, _ = run_cli(["ec", "sweep", *argv], capsys)
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert row["verdict"] == "separable" and row["p_th1"] == 0.44249333402444213
+    assert row["W_closed"] == pytest.approx(4.47e-4, rel=1e-3)
+    code, out, _ = run_cli(["compare", *argv], capsys)
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert row["causal"] == "entangled"

@@ -371,3 +371,21 @@ def test_ec_build_note_follows_the_rule(monkeypatch, capsys, eigenvalue, outcome
     assert code == 0
     psd = "PSD" if outcome is PptOutcome.PPT_SEPARABLE_CONSISTENT else "not PSD"
     assert err.endswith(f"min eigenvalue = {eigenvalue!r} ({psd})\n")
+
+
+@pytest.mark.parametrize("p, psd", [("0.99999", "not PSD"), ("1", "PSD")])
+def test_ec_build_note_reads_the_eigenvalue_over_the_trace(capsys, p, psd):
+    # the class-b eigenvalue scales with the trace (8.0e-15 at p = 0.99999),
+    # so the note reads it over the trace, as compare's ppt column does; at
+    # p = 1 the matrix is zero and reads PSD
+    argv = ["--class", "b", "--mixing", "strong", "--D", "3", "--N", "3"]
+    code, _, err = run_cli(["ec", "build", *argv, "--p", p], capsys)
+    assert code == 0
+    assert err.endswith(f" ({psd})\n") and "Traceback" not in err
+    if p == "1":
+        assert "trace = 0.0," in err
+        return
+    code, out, _ = run_cli(["compare", *argv, "--m-abs", "1", "--p-start", p, "--p-end", p,
+                            "--steps", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["rows"][0]["ppt"] == "npt_entangled"
