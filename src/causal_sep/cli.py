@@ -135,22 +135,24 @@ def _score_batches(report: CriterionReport, sep: str, fields: tuple[str, ...], n
     """The score text of ``report`` in report order, one string per batch of
     ``SCORE_BATCH`` configurations: the six cells of a score between
     ``fields``, labels joined by ``sep``, floats by ``float_texts``.  Each
-    batch converts its rows at once, formats each distinct float of a column
-    once and joins the zipped columns once; no Python code runs per score."""
+    batch converts its rows at once, derives their W and verdicts, formats
+    each distinct float of a column once and joins the zipped columns once;
+    no Python code runs per score."""
     subsets = [sep.join(map(str, s.members)) + fields[2] for s in report.subsets]
     verdicts = [fields[5] + v.value + fields[6] for v in ScoreVerdict]  # by the entangled flag
     per_config = lambda cells: chain.from_iterable(map(repeat, cells, repeat(len(subsets))))
     for lo in range(0, len(report.configs), SCORE_BATCH):
         rows = slice(lo, lo + SCORE_BATCH)
         configs = report.configs[rows].tolist()
+        w, entangled = report.scored_rows(rows)
         yield "".join(chain.from_iterable(zip(
             per_config(fields[0] + sep.join(map(str, c)) + fields[1] for c in configs),
             cycle(subsets),
             per_config(x + fields[3] for x in float_texts(report.P_ignorance[rows], nonfinite)),
             float_texts(report.P_transition[rows].ravel(), nonfinite),
             repeat(fields[4]),
-            float_texts(report.W[rows].ravel(), nonfinite),
-            map(verdicts.__getitem__, report.entangled[rows].ravel().tolist()),
+            float_texts(w.ravel(), nonfinite),
+            map(verdicts.__getitem__, entangled.ravel().tolist()),
         )))
 
 

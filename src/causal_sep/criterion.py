@@ -48,6 +48,7 @@ from .config_calculus import (
     partition_distinct,
 )
 from .density import (
+    ROW_BLOCK_BYTES,
     DensityMatrix,
     PartySubset,
     canonical_subsets,
@@ -62,10 +63,12 @@ if TYPE_CHECKING:
 W_TOL = 1e-10
 # The gather runs over chunks of configurations whose temporaries (index,
 # entry, modulus and label arithmetic: at most GATHER_CELL_BYTES per
-# partner x (subset or party) cell) stay under GATHER_BYTES.  At 4 MiB, a
-# quarter of a D^N = 1024 matrix, a D=2, N=10 report takes 4 chunks, and one
-# of D^N <= 256 takes one.
-GATHER_BYTES = 4 * 2**20
+# partner x (subset or party) cell) stay under GATHER_BYTES, the one budget
+# of every streamed pass.  A chunk holds at least one configuration, so in
+# free mode at (4,6) and (8,4) one configuration's cells, about 1.3 MB,
+# exceed it.  A D=2, N=10 report takes 13 chunks, and every one of
+# D^N <= 128 takes one.
+GATHER_BYTES = ROW_BLOCK_BYTES
 GATHER_CELL_BYTES = 48
 
 
@@ -112,10 +115,12 @@ class ConfigScore:
 class CriterionReport:
     """Scores on the distinct configurations (rows of ``configs``) x ``subsets``.
 
-    P_ignorance holds one value per configuration; P_transition, W and
-    entangled one row per configuration and one column per subset.
-    ``scores`` lists them as ConfigScores, configuration-major, and is built
-    on first use.
+    The report keeps what the gather measured: P_ignorance, one value per
+    configuration, and P_transition, one row per configuration and one
+    column per subset.  W and entangled, of P_transition's shape, are
+    computed from them when read (``scored_rows`` for some rows), so a
+    report beside its matrix holds neither.  ``scores`` lists them as
+    ConfigScores, configuration-major, and is built on first use.
     """
 
     mode: CouplingMode
@@ -124,20 +129,31 @@ class CriterionReport:
     subsets: tuple[PartySubset, ...]
     P_ignorance: np.ndarray
     P_transition: np.ndarray
-    W: np.ndarray
-    entangled: np.ndarray
+
+    @property
+    def W(self) -> np.ndarray:
+        return self.scored_rows(slice(None))[0]
+
+    @property
+    def entangled(self) -> np.ndarray:
+        return self.scored_rows(slice(None))[1]
+
+    def scored_rows(self, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+        """W and entangled of the configurations ``rows``, computed now."""
+        return _scored(self.P_ignorance[rows], self.P_transition[rows])
 
     @cached_property
     def scores(self) -> tuple[ConfigScore, ...]:
         verdicts = list(ScoreVerdict)
+        w, entangled = self.scored_rows(slice(None))
         return tuple(
             ConfigScore(tuple(config), subset, p_ign, p_trans, w, verdicts[ent])
             for config, p_ign, row_trans, row_w, row_ent in zip(
                 self.configs.tolist(),
                 self.P_ignorance.tolist(),
                 self.P_transition.tolist(),
-                self.W.tolist(),
-                self.entangled.tolist(),
+                w.tolist(),
+                entangled.tolist(),
             )
             for subset, p_trans, w, ent in zip(self.subsets, row_trans, row_w, row_ent)
         )
@@ -185,19 +201,23 @@ def _report(
     step = max(1, GATHER_BYTES // (GATHER_CELL_BYTES * partners * (rho.N + len(subsets))))
     p_ign = np.empty(len(configs))
     p_trans = np.empty((len(configs), len(subsets)))
+    entangled = False
     # a score that overflows reads inf, and W = inf - inf nan, with no warning
     with np.errstate(over="ignore", invalid="ignore"):
         for lo in range(0, len(configs), step):
             chunk = slice(lo, lo + step)
             p_ign[chunk], p_trans[chunk] = _gather(rho, configs[chunk], in_subset, mode)
+            entangled = entangled or bool(_scored(p_ign[chunk], p_trans[chunk])[1].any())
+    overall = OverallVerdict.ENTANGLED if entangled else OverallVerdict.SEPARABLE_BY_CRITERION
+    return CriterionReport(mode, overall, configs, subsets, p_ign, p_trans)
+
+
+def _scored(p_ign: np.ndarray, p_trans: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """W = P_ignorance - P_transition of rows of a report, and their
+    entangled flags, W < -W_TOL; inf - inf reads nan, with no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
         w = p_ign[:, None] - p_trans
-    entangled = w < -W_TOL
-    overall = (
-        OverallVerdict.ENTANGLED
-        if entangled.any()
-        else OverallVerdict.SEPARABLE_BY_CRITERION
-    )
-    return CriterionReport(mode, overall, configs, subsets, p_ign, p_trans, w, entangled)
+    return w, w < -W_TOL
 
 
 def _gather(

@@ -30,7 +30,8 @@ from .config_calculus import Configuration, check_dims, config_labels, is_intege
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 # Byte budget of one block of a dense pass (EC build rows, four Hermiticity scan
-# tiles): at 1 MiB a load's peak over its matrix stays under 1 MiB
+# tiles, a chunk of the criterion's gather): at 1 MiB a load's peak over its
+# matrix stays under 1 MiB
 ROW_BLOCK_BYTES = 2**20
 
 
@@ -296,13 +297,15 @@ def matrix_to_payload(rho: DensityMatrix) -> Iterator[str]:
     """The matrix file text in pieces, ``WRITE_CHUNK`` floats of entries or a
     run of (+0.0, +0.0) pairs at a time: compact JSON ``{"D":..,"N":..,
     "normalized":..,"entries":[[re,im],...]}``, entries row-major, each float
-    its repr, and a newline.  A non-finite entry raises before any piece."""
+    its repr, and a newline.  A non-finite entry raises before any piece:
+    every chunk is checked first, one at a time."""
     head = json.dumps(
         {"D": rho.D, "N": rho.N, "normalized": rho.normalized}, separators=(",", ":")
     )
     flat = np.ascontiguousarray(rho.matrix).view(np.float64).reshape(-1)
-    if not np.isfinite(flat).all():
-        raise ValueError("matrix entries must be finite to be written as JSON")
+    for lo in range(0, flat.size, WRITE_CHUNK):  # no whole-matrix mask
+        if not np.isfinite(flat[lo : lo + WRITE_CHUNK]).all():
+            raise ValueError("matrix entries must be finite to be written as JSON")
     return itertools.chain([f'{head[:-1]},"entries":[['], _entries_text(flat), ["]]}\n"])
 
 
@@ -318,11 +321,13 @@ def _entries_text(flat: np.ndarray) -> Iterator[str]:
         texts, inverse = _float_table(pairs[~zero].reshape(-1), repr)
         runs = ["0.0" + "],[0.0,0.0" * (k - 1) for k in (stop - first).tolist()]
         table = np.concatenate([np.array(["0.0", ",", "],[", *runs], dtype=object), texts])
-        cells = np.tile([0, 1, 0, 2], (len(pairs), 1))  # "0.0", ",", "0.0", "],["
-        cells[~zero, ::2] = inverse.reshape(-1, 2) + 3 + len(runs)
-        cells[first, 2] = 3 + np.arange(len(runs))
-        zero[first] = False  # the rows kept: each pair that is not zero, each run's first
-        yield "".join(table[cells[~zero].reshape(-1)[:-1]].tolist())
+        kept = ~zero
+        kept[first] = True  # each pair that is not zero, each run's first
+        run = zero[kept]  # by kept row, a run's first
+        cells = np.tile([0, 1, 0, 2], (len(run), 1))  # "0.0", ",", "0.0", "],["
+        cells[~run, ::2] = inverse.reshape(-1, 2) + 3 + len(runs)
+        cells[run, 2] = 3 + np.arange(len(runs))
+        yield "".join(table[cells.reshape(-1)[:-1]].tolist())
 
 
 def float_texts(values: np.ndarray, nonfinite=repr) -> list[str]:

@@ -270,6 +270,11 @@ def ec_min_eigenvalue(params: ECParams) -> float:
 
     For both classes d_s depends only on the number k of u-sites, so the
     string with u on the first k sites stands for every block of that k.
+    Each block's determinant is prod_n d0 du - prod_n c^2, so the edge law:
+    the matrix is PSD exactly when d0 du >= c^2, whatever N and the phase
+    of p.  Class a is PSD up to |p| = 1/2 (weak) or 1/(1 + (D-1)^2)
+    (strong); class b sits on the edge (minimum 0) in weak mixing and at
+    D = 2, and is not PSD at any p in strong mixing at D >= 3.
     The partial transpose over any parties only conjugates the phases of z,
     so this is also the minimum partial-transpose eigenvalue on every cut.
     """

@@ -672,14 +672,19 @@ def test_classify_payload_with_overflowing_scores(tmp_path, capsys, fmt):
 
 def _non_finite_report(rho, mode):
     """classify's report of ``rho`` with nan (both signs), inf and -inf
-    written into every float column, twice over in some batches."""
+    written into both measured columns, twice over in some batches; W
+    follows from them, with nan, inf and -inf of its own."""
     report = classify(rho, CouplingMode(mode))
     nan, inf = float("nan"), float("inf")
-    p_ign, p_trans, w = report.P_ignorance.copy(), report.P_transition.copy(), report.W.copy()
+    p_ign, p_trans = report.P_ignorance.copy(), report.P_transition.copy()
     p_ign[[0, 2, 3, 5]] = [nan, inf, -inf, inf]
-    p_trans[[0, 1, 1, 4, 7], [1, 0, 2, 2, 0]] = [inf, -inf, np.copysign(nan, -1.0), inf, nan]
-    w[[0, 2, 2, 6], [0, 0, 1, 2]] = [-inf, nan, -inf, inf]
-    return dataclasses.replace(report, P_ignorance=p_ign, P_transition=p_trans, W=w)
+    p_trans[[0, 1, 1, 2, 4, 5, 7], [1, 0, 2, 1, 2, 0, 0]] = [
+        inf, -inf, np.copysign(nan, -1.0), inf, inf, inf, nan,
+    ]
+    report = dataclasses.replace(report, P_ignorance=p_ign, P_transition=p_trans)
+    w = report.W
+    assert np.isnan(w).any() and (w == inf).any() and (w == -inf).any()
+    return report
 
 
 @pytest.mark.filterwarnings("error")

@@ -1025,6 +1025,33 @@ def test_save_rejects_non_finite_entries(tmp_path):
     assert path.read_text() == "kept"
 
 
+@pytest.mark.parametrize("bad", [complex(0.25, np.nan), complex(np.inf, 0.0), complex(0.25, -np.inf)])
+def test_save_checks_every_chunk_before_the_first_piece(monkeypatch, bad):
+    # the finiteness check runs a chunk at a time, all of it before the
+    # first piece: a non-finite entry in the last chunk still writes nothing
+    monkeypatch.setattr(density, "WRITE_CHUNK", 6)  # three pairs per chunk
+    arr = maximally_mixed(2, 2).matrix.copy()
+    arr[-1, -1] = bad
+    rho = DensityMatrix._adopt(2, 2, arr, False, hermitian=True)
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        density.matrix_to_payload(rho)  # before the first chunk is asked for
+
+
+def test_save_memory_bound_at_1024():
+    # beside the matrix, the writer holds one chunk's check and text; a
+    # whole-matrix finiteness mask alone is 2 MiB here (32 MiB at D^N = 4096)
+    rho = build_ec_matrix(ECParams(ECClass.A, Mixing.STRONG, CouplingMode.N_FREE, 2, 10, 0.3 + 0.4j))
+    "".join(density.matrix_to_payload(maximally_mixed(2, 2)))  # one-time setup stays out
+    tracemalloc.start()
+    try:
+        for piece in density.matrix_to_payload(rho):
+            del piece
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"the writer peaked at {peak / 2**20:.2f} MiB"
+
+
 def test_load_memory_bound_at_1024(tmp_path):
     rho = build_ec_matrix(ECParams(ECClass.A, Mixing.STRONG, CouplingMode.N_FREE, 2, 10, 0.3 + 0.4j))
     path = tmp_path / "cap.json"

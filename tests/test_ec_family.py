@@ -31,7 +31,7 @@ from causal_sep.ec_family import (
     threshold_rows,
     variant_name,
 )
-from causal_sep.ppt import PPT_TOL
+from causal_sep.ppt import PPT_TOL, PptOutcome, ppt_outcome
 
 from conftest import exact_closed_form_W, run_cli
 
@@ -876,6 +876,36 @@ def test_class_b_normalized_matrix_is_constant_in_p(D, N, mixing, coupling):
     assert np.ptp(lambdas) <= 1e-15
 
 
+# the strong-mixing class-b minimum eigenvalue over the trace at D >= 3
+B_STRONG_MIN = {(3, 2): -0.375, (3, 4): -0.234, (4, 3): -0.622, (5, 3): -0.981}
+
+
+@pytest.mark.parametrize(
+    "D, N", [(D, N) for D in (2, 3, 4, 5, 7) for N in range(2, 13) if D**N <= DIM_CAP]
+)
+def test_class_b_psd_edge(D, N):
+    # after F factors out, a block's determinant is (1/x)^N - (c^2)^N with
+    # c^2 = 1/x (weak) or x (strong), x = D - 1: weak mixing, and strong
+    # mixing at D = 2, sit on the edge at every p (minimum eigenvalue 0, up
+    # to rounding), and strong mixing at D >= 3 is NPT at every p
+    rng = np.random.default_rng(3000 + 10 * D + N)
+    for b_sites in [None, tuple(rng.integers(0, 2, N).tolist())]:
+        for mixing in (WEAK, STRONG):
+            lowest = []
+            for p in (0.1, 0.37, 0.5, 0.9):
+                prm = params(B, mixing, FREE, D, N, p, b_sites)
+                lowest.append(ec_min_eigenvalue(prm) / ec_operator(prm).trace())
+            if mixing is WEAK or D == 2:
+                assert max(map(abs, lowest)) <= 1e-16, (mixing, b_sites, lowest)
+                outcomes = {ppt_outcome(x) for x in lowest}
+                assert outcomes == {PptOutcome.PPT_SEPARABLE_CONSISTENT}, (mixing, b_sites)
+            else:
+                assert max(lowest) < -PPT_TOL, (b_sites, lowest)
+                assert np.ptp(lowest) <= 1e-15 * abs(lowest[0]), (b_sites, lowest)
+                if (D, N) in B_STRONG_MIN:
+                    assert lowest[0] == pytest.approx(B_STRONG_MIN[D, N], abs=5e-4)
+
+
 # ---------------------------------------------------------------------------
 # class a: the PSD edge, and the thresholds against it
 # ---------------------------------------------------------------------------
@@ -911,6 +941,24 @@ def test_class_a_thresholds_lie_at_or_above_the_psd_edge():
             for _, mixing, coupling in CLASS_A:
                 p_th, edge = threshold(A, mixing, coupling, D, N).p_th, _psd_edge(mixing, D)
                 assert p_th == edge if D == 2 else p_th >= edge, (D, N, mixing, coupling)
+
+
+@pytest.mark.parametrize("D", [3, 4, 7, 100])
+def test_class_a_thresholds_as_n_grows(D):
+    # p_th = 1/(1 + x**g): the coupled exponents (-1/N weak, 2 - 1/N strong)
+    # tend to the edge's (0, 2), so the coupled thresholds tend to the edge;
+    # the free ones (-(2 - 1/N), 1/N) tend to -2 and 0, limits x^2/(1 + x^2)
+    # and 1/2 that lie above it at D >= 3
+    x = D - 1
+    free_limit = {WEAK: x**2 / (1 + x**2), STRONG: 0.5}
+    for _, mixing, coupling in CLASS_A:
+        edge = _psd_edge(mixing, D)
+        limit = edge if coupling is COUPLED else free_limit[mixing]
+        gaps = [abs(threshold(A, mixing, coupling, D, N).p_th - limit)
+                for N in (2, 10, 100, 10**4, 10**6)]
+        assert gaps == sorted(gaps, reverse=True) and gaps[-1] < 2e-6, (mixing, coupling, gaps)
+        if coupling is FREE:
+            assert abs(limit - edge) > 0.2, mixing
 
 
 # ---------------------------------------------------------------------------
@@ -959,3 +1007,32 @@ def test_overall_verdict_departs_from_the_closed_form_at_3_3(capsys):
     assert code == 0
     (row,) = json.loads(out)["rows"]
     assert row["causal"] == "entangled"
+
+
+# strong mixing, class a: the points of compare's default 101-point grid
+# whose causal column reads entangled at |p| <= p_th, by coupling and (D, N)
+DEPARTURES = {
+    "free": {(3, 3): 1, (3, 4): 2, (3, 5): 4, (4, 3): 3, (4, 4): 8, (5, 3): 6},
+    "coupled": {(3, 3): 3, (3, 4): 2, (3, 5): 6, (4, 3): 5, (4, 4): 7, (5, 3): 5},
+}
+
+
+@pytest.mark.parametrize("mixing", ["strong", "weak"])
+@pytest.mark.parametrize("coupling", ["free", "coupled"])
+def test_overall_verdict_departures_on_the_default_grid(capsys, mixing, coupling):
+    # a record, not a target: where classify's minimum over every distinct j
+    # and cut reads entangled inside the closed form's separable range.  None
+    # at N = 2, none at D = 2, and none in weak mixing
+    counts = {}
+    for D, N in [*DEPARTURES[coupling], (3, 2), (4, 2), (2, 6)]:
+        argv = ["compare", "--class", "a", "--mixing", mixing, "--coupling", coupling,
+                "--D", str(D), "--N", str(N)]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        p_th = threshold(A, Mixing(mixing), CouplingMode(coupling), D, N).p_th
+        counts[D, N] = sum(
+            row["causal"] == "entangled" and abs(row["p"]) <= p_th
+            for row in json.loads(out)["rows"]
+        )
+    want = {**DEPARTURES[coupling], (3, 2): 0, (4, 2): 0, (2, 6): 0}
+    assert counts == (want if mixing == "strong" else dict.fromkeys(want, 0))
